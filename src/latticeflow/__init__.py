@@ -42,6 +42,7 @@ from .flow import (
     flow_value,
     max_flow,
     menger_count,
+    min_cut_value,
     validate_stream,
 )
 from .junction import (

@@ -18,7 +18,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-from scipy.special import erfinv
 
 from .lattice import BoxSpec, Edge, edge_ids, edges_in_box
 
@@ -32,6 +31,10 @@ HALF_NORMAL = "half_normal"
 
 _FINITE_KINDS = (BERNOULLI, FINITE_DISCRETE)
 _CONTINUOUS_KINDS = (UNIFORM, EXPONENTIAL, HALF_NORMAL)
+
+
+class CapacityOverflowError(OverflowError):
+    """Total capacity would overflow the 64-bit accumulator contract."""
 
 
 def is_power_of_two(n: int) -> bool:
@@ -263,20 +266,28 @@ def sample_field(
     u = edge_uniforms(seed, n)
     r = float(resolution)
     if dist.is_finite:
-        units = np.array([unit_count(v, resolution) for v in dist.support], dtype=np.int64)
+        units = [unit_count(v, resolution) for v in dist.support]
+        if max(units) >= 2**63:
+            raise CapacityOverflowError("a support value overflows 64-bit capacity units")
         cum = np.cumsum(np.array([float(p) for p in dist.probs]))
         cum[-1] = 1.0  # guard float drift; u < 1 keeps indices in range
-        caps = units[np.searchsorted(cum, u, side="right")]
-    elif dist.kind == UNIFORM:
+        caps = np.array(units, dtype=np.int64)[np.searchsorted(cum, u, side="right")]
+        return CapacityField(box, resolution, caps, seed=seed)
+    if dist.kind == UNIFORM:
         a, b = dist.support
-        caps = np.floor(float(a) * r + u * float(b - a) * r).astype(np.int64)
+        x = float(a) * r + u * float(b - a) * r
     elif dist.kind == EXPONENTIAL:
-        caps = np.floor((-np.log1p(-u) / dist.rate) * r).astype(np.int64)
+        x = (-np.log1p(-u) / dist.rate) * r
     elif dist.kind == HALF_NORMAL:
-        caps = np.floor(dist.sigma * math.sqrt(2.0) * erfinv(u) * r).astype(np.int64)
+        from scipy.special import erfinv  # slow, heavy import that only this law needs
+
+        x = dist.sigma * math.sqrt(2.0) * erfinv(u) * r
     else:
         raise ValueError(f"unknown distribution kind: {dist.kind!r}")
-    return CapacityField(box, resolution, caps, seed=seed)
+    x = np.floor(x)
+    if not (x < 2.0**63).all():  # also false for inf and NaN
+        raise CapacityOverflowError("a sampled capacity overflows 64-bit capacity units")
+    return CapacityField(box, resolution, x.astype(np.int64), seed=seed)
 
 
 def discretize(field: CapacityField, k: int) -> CapacityField:

@@ -58,13 +58,26 @@ class ConfigError(ValueError):
 
 _NUMBER = {"type": ["number", "string"]}
 
+_DISTRIBUTION_FIELDS = {
+    "bernoulli": ["p"],
+    "finite_discrete": ["atoms"],
+    "uniform": ["a", "b"],
+    "exponential": ["rate"],
+    "half_normal": ["sigma"],
+}
+
 _DISTRIBUTION_SCHEMA = {
     "type": "object",
     "required": ["kind"],
+    "allOf": [
+        {
+            "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+            "then": {"required": fields},
+        }
+        for kind, fields in _DISTRIBUTION_FIELDS.items()
+    ],
     "properties": {
-        "kind": {
-            "enum": ["bernoulli", "finite_discrete", "uniform", "exponential", "half_normal"]
-        },
+        "kind": {"enum": list(_DISTRIBUTION_FIELDS)},
         "p": _NUMBER,
         "lo": _NUMBER,
         "hi": _NUMBER,
@@ -199,6 +212,14 @@ def _resolve_height(height, n: int) -> int:
     raise ConfigError(f"unknown height rule {rule!r}")
 
 
+def _parse(parse, value):
+    """Apply an exact-value parser to config input; its failures are config errors."""
+    try:
+        return parse(value)
+    except (ValueError, TypeError, ZeroDivisionError) as err:
+        raise ConfigError(f"bad value {value!r}: {err}") from None
+
+
 def _box(config) -> BoxSpec:
     d = config.get("d", 2)
     return BoxSpec((config["n"],) * (d - 1), config["height"])
@@ -221,7 +242,7 @@ def _resolution(config) -> int:
 
 
 def _run_sample(config, workers):
-    dist = DistributionSpec.from_json(config["distribution"])
+    dist = _parse(DistributionSpec.from_json, config["distribution"])
     box = _box(config)
     r = _resolution(config)
     field = sample_field(box, dist, r, config["seed"])
@@ -233,7 +254,7 @@ def _run_sample(config, workers):
 
 
 def _run_flow(config, workers):
-    dist = DistributionSpec.from_json(config["distribution"])
+    dist = _parse(DistributionSpec.from_json, config["distribution"])
     box = _box(config)
     r = _resolution(config)
     field = sample_field(box, dist, r, config["seed"])
@@ -255,7 +276,7 @@ def _run_flow(config, workers):
 
 
 def _run_tau(config, workers):
-    dist = DistributionSpec.from_json(config["distribution"])
+    dist = _parse(DistributionSpec.from_json, config["distribution"])
     d = config.get("d", 2)
     r = _resolution(config)
     base = RectSpec.cube(config["n"], d)
@@ -268,7 +289,7 @@ def _run_tau(config, workers):
 
 
 def _run_nu(config, workers):
-    dist = DistributionSpec.from_json(config["distribution"])
+    dist = _parse(DistributionSpec.from_json, config["distribution"])
     d = config.get("d", 2)
     r = _resolution(config)
     rows = []
@@ -289,13 +310,13 @@ def _run_nu(config, workers):
 
 
 def _run_psi(config, workers):
-    dist = DistributionSpec.from_json(config["distribution"])
+    dist = _parse(DistributionSpec.from_json, config["distribution"])
     d = config.get("d", 2)
     r = _resolution(config)
     n = config["n"]
     h = _resolve_height(config["height"], n)
     k_disc = _k_disc(config, r)
-    lams = [as_fraction(l) for l in config["lambdas"]]
+    lams = [_parse(as_fraction, l) for l in config["lambdas"]]
     estimates = estimate_psi_sweep(
         dist, lams, n, h, k_disc, config["samples"], config["seed"],
         d=d, resolution=r, workers=workers,
@@ -315,15 +336,16 @@ def _run_psi(config, workers):
 
 
 def _run_oracle(config, workers):
-    dist = DistributionSpec.from_json(config["distribution"])
+    dist = _parse(DistributionSpec.from_json, config["distribution"])
     d = config.get("d", 2)
     r = _resolution(config)
     box = BoxSpec((config["n"],) * (d - 1), config["height"])
+    lam = _parse(as_fraction, config["lam"])
     prob = exact_tail_probability(
-        dist, box, as_fraction(config["lam"]),
+        dist, box, lam,
         resolution=r, budget=config.get("budget", 2**24),
     )
-    rows = [[d, config["n"], config["height"], _dec(as_fraction(config["lam"])), r,
+    rows = [[d, config["n"], config["height"], _dec(lam), r,
              prob.numerator, prob.denominator, _dec(prob)]]
     return [
         "d", "n", "height", "lam", "resolution",
@@ -343,7 +365,9 @@ def _run_report(config, workers):
     for path in config["inputs"]:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            head = next(reader)
+            head = next(reader, None)
+            if head is None:
+                raise ConfigError(f"{path} is empty")
             if header is None:
                 header = head
             elif head != header:
@@ -435,6 +459,9 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     if workers is None:
         workers = config.get("workers", 1)
+    if workers < 1:
+        print("latticeflow: config error: the worker count must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
 
     out = Path(config.get("out", f"{args.command}.csv"))
     try:

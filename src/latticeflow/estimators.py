@@ -26,8 +26,8 @@ from .capacity import (
     sample_field,
     unit_count,
 )
-from .cuts import SlabProblem, tau_slab
-from .flow import max_flow, solve_min_cut
+from .cuts import uncuttable_edge_ids
+from .flow import min_cut_value
 from .lattice import BoxSpec, RectSpec, edges_in_box
 
 
@@ -77,8 +77,7 @@ class NuEstimate:
 
 def _nu_replica(dist, base, k_slab, resolution, seed, index: int) -> int:
     field = sample_field(base.slab_box(k_slab), dist, resolution, derive_seed(seed, index))
-    value, _ = tau_slab(SlabProblem(base, k_slab, field))
-    return value
+    return min_cut_value(field.box, field, uncuttable_edge_ids(base, k_slab))
 
 
 def estimate_nu(
@@ -143,7 +142,7 @@ def _psi_replica(dist, n, h, k_disc, resolution, d, seed, index: int) -> int:
     field = sample_field(box, dist, resolution, derive_seed(seed, index))
     if k_disc != resolution:
         field = discretize(field, k_disc)
-    return max_flow(box, field).value
+    return min_cut_value(box, field)
 
 
 def estimate_psi_sweep(
@@ -240,8 +239,7 @@ def exact_tail_probability(
     for assign in itertools.product(range(s), repeat=m):
         caps = np.array([units[j] for j in assign], dtype=np.int64)
         field = CapacityField(box, resolution, caps)
-        value, _, _, _ = solve_min_cut(box, field)
-        if value >= threshold:
+        if min_cut_value(box, field) >= threshold:
             prob = Fraction(1)
             for j in assign:
                 prob *= dist.probs[j]

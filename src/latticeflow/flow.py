@@ -4,7 +4,8 @@ Integer-unit capacities, a deterministic blocking-flow (Dinic) solver with a
 super-source feeding the bottom face and a super-sink draining the top face,
 minimum cuts extracted from residual reachability, stream validation, and
 the decomposition of discrete streams into unit paths of the parallel-edge
-expansion.
+expansion. Value-only solves of d=2 boxes take a shortest path in the planar
+dual instead (``min_cut_value``).
 
 Edges may carry an explicit "never cut" marker instead of a finite capacity;
 the solver treats such edges as impossible to saturate, which is how the
@@ -14,13 +15,15 @@ sentinel numbers.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 
 import numpy as np
 
-from .capacity import CapacityField
+from .capacity import CapacityField, CapacityOverflowError
 from .lattice import (
     BoxSpec,
     Edge,
@@ -32,10 +35,6 @@ from .lattice import (
 )
 
 MAX_TOTAL_UNITS = 2**63 - 1
-
-
-class CapacityOverflowError(OverflowError):
-    """Total capacity would overflow the 64-bit accumulator contract."""
 
 
 class PinningInfeasibleError(RuntimeError):
@@ -272,6 +271,79 @@ def max_flow(box: BoxSpec, field: CapacityField) -> MaxFlowResult:
     return MaxFlowResult(value, stream, cut, source_side)
 
 
+_LEFT, _RIGHT = 0, 1
+
+
+@lru_cache(maxsize=16)
+def _dual_adjacency(
+    dims: tuple[int, ...], height: int, never_cut: frozenset[int]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Planar dual of a d=2 box as ``adj[node] = ((neighbour, edge id), ...)``.
+
+    Nodes are the left wall, the right wall and one cell per (gap between
+    adjacent columns, unit row). Vertical edges join the cells on their two
+    sides; horizontal edges below the top face join the cells below and
+    above them. Top-row horizontal edges lie inside the contracted sink and
+    never-cut edges may not be crossed, so neither gets a dual edge. Edge
+    ids do not depend on the offset, so the origin box stands for them all.
+    """
+    (k,) = dims
+    box = BoxSpec(dims, height)
+
+    def cell(gap: int, row: int) -> int:
+        if gap < 0:
+            return _LEFT
+        return _RIGHT if gap == k - 1 else 2 + gap * height + row
+
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(2 + (k - 1) * height)]
+    for i, e in enumerate(edges_in_box(box)):
+        (x, z), (x2, _) = e.a, e.b
+        if i in never_cut or z == height:
+            continue
+        if x == x2:  # vertical, in column x - 1 and row z
+            u, v = cell(x - 2, z), cell(x - 1, z)
+        else:  # horizontal at height z, in gap x - 1
+            u, v = cell(x - 1, z - 1), cell(x - 1, z)
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    return tuple(tuple(a) for a in adj)
+
+
+def min_cut_value(
+    box: BoxSpec, field: CapacityField, never_cut: frozenset[int] = frozenset()
+) -> int:
+    """Maximal flow value alone, without stream or cut certificates.
+
+    For d=2 this is the cheapest left-wall-to-right-wall path in the planar
+    dual (Itai & Shiloach 1979; Hassin 1981), found by Dijkstra on Python
+    ints and so exact at any total below the 64-bit contract. For d >= 3 it
+    is the value of ``solve_min_cut``.
+    """
+    if box.d != 2:
+        return solve_min_cut(box, field, never_cut)[0]
+    if field.box != box:
+        raise ValueError("field does not cover this box")
+    if field.total_units > MAX_TOTAL_UNITS:
+        raise CapacityOverflowError("total capacity exceeds the 64-bit accumulator")
+    adj = _dual_adjacency(box.dims, box.height, never_cut)
+    caps = field.caps.tolist()
+    dist = [math.inf] * len(adj)
+    dist[_LEFT] = 0
+    heap = [(0, _LEFT)]
+    while heap:
+        d, v = heappop(heap)
+        if v == _RIGHT:
+            return d
+        if d > dist[v]:
+            continue
+        for w, e in adj[v]:
+            nd = d + caps[e]
+            if nd < dist[w]:
+                dist[w] = nd
+                heappush(heap, (nd, w))
+    raise PinningInfeasibleError("never-cut edges join bottom to top: no finite cut exists")
+
+
 @lru_cache(maxsize=None)
 def _top_vertical_ids(box: BoxSpec) -> tuple[int, ...]:
     ids = edge_ids(box)
@@ -401,4 +473,4 @@ def menger_count(box: BoxSpec, field: CapacityField) -> int:
     r = field.resolution
     if any(c not in (0, r) for c in field.caps.tolist()):
         raise ValueError("field must be 0/1-valued")
-    return max_flow(box, field).value // r
+    return min_cut_value(box, field) // r

@@ -2,6 +2,8 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
+
 from latticeflow.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -221,3 +223,56 @@ def test_workers_env_override(tmp_path, monkeypatch):
     enved = tmp_path / "env.csv"
     assert run(["psi", "--config", cfg, "--out", enved]) == EXIT_OK
     assert base.read_bytes() == enved.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        {"kind": "exponential", "rate": 1e-20},
+        {"kind": "uniform", "a": "0", "b": "1e15"},
+        {"kind": "bernoulli", "p": "0.5", "lo": 0, "hi": "1e15"},
+    ],
+    ids=lambda d: d["kind"],
+)
+def test_sampling_overflow_exit_code(tmp_path, dist):
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"seed": 1, "distribution": dist, "n": 2, "height": 2, "resolution": 2**20},
+    )
+    assert run(["sample", "--config", cfg, "--out", tmp_path / "s.csv"]) == EXIT_OVERFLOW
+
+
+def test_distribution_missing_fields_is_config_error(tmp_path):
+    for dist in ({"kind": "bernoulli"}, {"kind": "uniform", "a": 0}, {"p": "0.5"}):
+        cfg = write_config(tmp_path, "c.json", {"seed": 1, "distribution": dist, "n": 2, "height": 2})
+        assert run(["flow", "--config", cfg, "--out", tmp_path / "f.csv"]) == EXIT_CONFIG
+
+
+def test_malformed_fraction_is_config_error(tmp_path):
+    bad_p = write_config(
+        tmp_path, "p.json",
+        {"seed": 1, "distribution": {"kind": "bernoulli", "p": "0.9x"}, "n": 2, "height": 2},
+    )
+    assert run(["flow", "--config", bad_p, "--out", tmp_path / "f.csv"]) == EXIT_CONFIG
+    bad_lam = write_config(
+        tmp_path, "l.json",
+        {"seed": 1, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["1/0"], "samples": 2},
+    )
+    assert run(["psi", "--config", bad_lam, "--out", tmp_path / "p.csv"]) == EXIT_CONFIG
+
+
+def test_nonpositive_workers_is_config_error(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"seed": 1, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 2},
+    )
+    assert run(["psi", "--config", cfg, "--workers", 0, "--out", tmp_path / "a.csv"]) == EXIT_CONFIG
+    monkeypatch.setenv("LATTICEFLOW_WORKERS", "-1")
+    assert run(["psi", "--config", cfg, "--out", tmp_path / "b.csv"]) == EXIT_CONFIG
+
+
+def test_report_on_empty_csv_is_config_error(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    cfg = write_config(tmp_path, "r.json", {"inputs": [str(empty)]})
+    assert run(["report", "--config", cfg, "--out", tmp_path / "m.csv"]) == EXIT_CONFIG

@@ -3,7 +3,10 @@ from collections import Counter, defaultdict, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latticeflow import flow
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
@@ -12,18 +15,23 @@ from latticeflow.capacity import (
     discretize,
     sample_field,
 )
+from latticeflow.cuts import SlabProblem, tau_slab, uncuttable_edge_ids
 from latticeflow.flow import (
     CapacityOverflowError,
+    PinningInfeasibleError,
     Stream,
     decompose_paths,
     flow_value,
     max_flow,
     menger_count,
+    min_cut_value,
+    solve_min_cut,
     validate_stream,
 )
 from latticeflow.lattice import (
     BoxSpec,
     Edge,
+    RectSpec,
     box_vertices,
     edge_ids,
     edges_in_box,
@@ -306,8 +314,9 @@ def test_side_by_side_superadditivity():
 def test_capacity_overflow_is_explicit():
     box = BoxSpec((2,), 2)
     field = CapacityField(box, 2**62, np.full(6, 2**62, dtype=np.int64))
-    with pytest.raises(CapacityOverflowError):
-        max_flow(box, field)
+    for solve in (max_flow, min_cut_value):
+        with pytest.raises(CapacityOverflowError):
+            solve(box, field)
 
 
 def test_solver_is_deterministic():
@@ -320,3 +329,83 @@ def test_solver_is_deterministic():
     assert np.array_equal(a.stream.g, b.stream.g)
     assert np.array_equal(a.stream.orient, b.stream.orient)
     assert a.source_side == b.source_side
+
+
+LAWS = [
+    DistributionSpec.bernoulli("0.9", 0, 1),
+    DistributionSpec.bernoulli("0.1", 0, 1),  # mostly zero capacities: many tied cuts
+    DistributionSpec.finite_discrete([("0", "0.25"), ("0.5", "0.25"), ("1", "0.5")]),
+    DistributionSpec.uniform(0, 1),
+    DistributionSpec.exponential(1.0),
+    DistributionSpec.half_normal(1.0),
+]
+
+
+@given(
+    k=st.integers(1, 8),
+    h=st.integers(1, 8),
+    offset=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    law=st.sampled_from(LAWS),
+    seed=st.integers(0, 2**32),
+    k_disc=st.sampled_from([None, 1, 4, 256]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_dual_value_matches_reference(k, h, offset, law, seed, k_disc):
+    box = BoxSpec((k,), h, offset)
+    field = sample_field(box, law, R, seed)
+    if k_disc is not None:
+        field = discretize(field, k_disc)
+    assert min_cut_value(box, field) == solve_min_cut(box, field)[0]
+
+
+@given(
+    k=st.integers(1, 8),
+    half=st.integers(1, 4),
+    lo=st.integers(-5, 5),
+    law=st.sampled_from(LAWS),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_dual_pinned_slab_matches_tau_slab(k, half, lo, law, seed):
+    base = RectSpec((lo,), (lo + k,))
+    field = sample_field(base.slab_box(half), law, R, seed)
+    never = uncuttable_edge_ids(base, half)
+    assert min_cut_value(field.box, field, never) == tau_slab(SlabProblem(base, half, field))[0]
+
+
+def test_dual_infeasible_pinning_matches_reference():
+    box = BoxSpec((3,), 4, (2, -1))
+    field = sample_field(box, DistributionSpec.uniform(0, 1), R, seed=5)
+    middle_column = frozenset(
+        i for i, e in enumerate(edges_in_box(box)) if e.a[0] == e.b[0] == 4
+    )
+    for never in (middle_column, frozenset(range(len(edges_in_box(box))))):
+        with pytest.raises(PinningInfeasibleError):
+            solve_min_cut(box, field, never)
+        with pytest.raises(PinningInfeasibleError):
+            min_cut_value(box, field, never)
+
+
+def test_min_cut_value_dispatches_d3_to_reference(monkeypatch):
+    calls = []
+    reference = flow.solve_min_cut
+
+    def recording(box, field, never_cut=frozenset()):
+        calls.append(box.d)
+        return reference(box, field, never_cut)
+
+    monkeypatch.setattr(flow, "solve_min_cut", recording)
+    for box in (BoxSpec((3,), 3), BoxSpec((2, 3), 2)):
+        field = sample_field(box, DistributionSpec.uniform(0, 1), R, seed=11)
+        assert min_cut_value(box, field) == reference(box, field)[0]
+    assert calls == [3]
+
+
+def test_dual_cache_stays_bounded():
+    cache = flow._dual_adjacency
+    for k in range(1, 9):
+        for h in range(1, 9):
+            box = BoxSpec((k,), h)
+            min_cut_value(box, CapacityField.constant(box, 1))
+    info = cache.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -39,7 +39,7 @@ from .estimators import (
     estimate_psi_sweep,
     exact_tail_probability,
 )
-from .flow import CapacityOverflowError, max_flow
+from .flow import CapacityOverflowError, max_flow, value_solver
 from .lattice import BoxSpec, RectSpec, classify_edge, edges_in_box
 from .verify import run_all
 
@@ -200,16 +200,13 @@ def _dec(x) -> str:
 
 
 def _resolve_height(height, n: int) -> int:
+    """h = max(1, ceil(c * base)) with base 1, ceil(ln n) or n, c read exactly."""
     if isinstance(height, int):
         return height
-    rule, coeff = height["rule"], height["coeff"]
-    if rule == "const":
-        return max(1, int(coeff))
-    if rule == "log":
-        return max(1, int(coeff) * math.ceil(math.log(max(n, 2))))
-    if rule == "linear":
-        return max(1, int(coeff) * n)
-    raise ConfigError(f"unknown height rule {rule!r}")
+    bases = {"const": 1, "log": math.ceil(math.log(max(n, 2))), "linear": n}
+    if height["rule"] not in bases:
+        raise ConfigError(f"unknown height rule {height['rule']!r}")
+    return max(1, math.ceil(_parse(as_fraction, height["coeff"]) * bases[height["rule"]]))
 
 
 def _parse(parse, value):
@@ -401,6 +398,8 @@ def _write_outputs(out: Path, command: str, config: dict, workers: int, header, 
         "seed": config.get("seed"),
         "workers": workers,
     }
+    if command in ("psi", "nu", "oracle"):
+        sidecar["value_solver"] = value_solver(config.get("d", 2))
     with open(str(out) + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -4,8 +4,14 @@ Integer-unit capacities, a deterministic blocking-flow (Dinic) solver with a
 super-source feeding the bottom face and a super-sink draining the top face,
 minimum cuts extracted from residual reachability, stream validation, and
 the decomposition of discrete streams into unit paths of the parallel-edge
-expansion. Value-only solves of d=2 boxes take a shortest path in the planar
-dual instead (``min_cut_value``).
+expansion. That solver is the reference: it provides every cut and stream
+certificate.
+
+Value-only solves (``min_cut_value``) take faster routes. On d=2 boxes the
+value is a shortest path in the planar dual. On d >= 3 boxes the faces and
+the never-cut components are first merged into the source and the sink:
+a finite cut keeps each merged class on one side, so the minimum is
+unchanged, and the smaller graph has only finite arcs.
 
 Edges may carry an explicit "never cut" marker instead of a finite capacity;
 the solver treats such edges as impossible to saturate, which is how the
@@ -215,6 +221,13 @@ def _dinic(to, adj, is_inf, cap, src, snk) -> int:
             value += bottleneck
 
 
+def _check_field(box: BoxSpec, field: CapacityField) -> None:
+    if field.box != box:
+        raise ValueError("field does not cover this box")
+    if field.total_units > MAX_TOTAL_UNITS:
+        raise CapacityOverflowError("total capacity exceeds the 64-bit accumulator")
+
+
 def solve_min_cut(
     box: BoxSpec, field: CapacityField, never_cut: frozenset[int] = frozenset()
 ) -> tuple[int, list[int], CutSet, frozenset[Point]]:
@@ -223,10 +236,7 @@ def solve_min_cut(
     The cut is the set of edges from the residual-reachable side of the
     super-source to its complement; edges in ``never_cut`` cannot appear.
     """
-    if field.box != box:
-        raise ValueError("field does not cover this box")
-    if field.total_units > MAX_TOTAL_UNITS:
-        raise CapacityOverflowError("total capacity exceeds the 64-bit accumulator")
+    _check_field(box, field)
     g = _graph(box)
     caps = field.caps.tolist()
     cap = [0] * len(g.to)
@@ -309,22 +319,7 @@ def _dual_adjacency(
     return tuple(tuple(a) for a in adj)
 
 
-def min_cut_value(
-    box: BoxSpec, field: CapacityField, never_cut: frozenset[int] = frozenset()
-) -> int:
-    """Maximal flow value alone, without stream or cut certificates.
-
-    For d=2 this is the cheapest left-wall-to-right-wall path in the planar
-    dual (Itai & Shiloach 1979; Hassin 1981), found by Dijkstra on Python
-    ints and so exact at any total below the 64-bit contract. For d >= 3 it
-    is the value of ``solve_min_cut``.
-    """
-    if box.d != 2:
-        return solve_min_cut(box, field, never_cut)[0]
-    if field.box != box:
-        raise ValueError("field does not cover this box")
-    if field.total_units > MAX_TOTAL_UNITS:
-        raise CapacityOverflowError("total capacity exceeds the 64-bit accumulator")
+def _dual_value(box: BoxSpec, field: CapacityField, never_cut: frozenset[int]) -> int:
     adj = _dual_adjacency(box.dims, box.height, never_cut)
     caps = field.caps.tolist()
     dist = [math.inf] * len(adj)
@@ -342,6 +337,147 @@ def min_cut_value(
                 dist[w] = nd
                 heappush(heap, (nd, w))
     raise PinningInfeasibleError("never-cut edges join bottom to top: no finite cut exists")
+
+
+_SOURCE, _SINK = 0, 1
+
+
+@lru_cache(maxsize=16)
+def _contracted(
+    dims: tuple[int, ...], height: int, never_cut: frozenset[int]
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], np.ndarray]:
+    """The box graph with its uncuttable parts merged, as ``(nbrs, arc_edge)``.
+
+    A union-find joins every bottom-face vertex into the source, every
+    top-face vertex into the sink and the two ends of every never-cut edge.
+    Nodes are the classes, the source first and the sink second. An edge
+    inside one class drops out; any other becomes two opposite arcs, listed
+    as ``nbrs[tail] = ((arc, head), ...)``, with ``arc_edge[arc]`` its edge
+    id. Arcs ``a`` and ``a ^ 1`` are reverses. The origin box stands for
+    every offset, as edge ids do not depend on it.
+    """
+    box = BoxSpec(dims, height)
+    index: dict[Point, int] = {}
+    ends = [
+        (index.setdefault(e.a, len(index)), index.setdefault(e.b, len(index)))
+        for e in edges_in_box(box)
+    ]
+    parent = list(range(len(index)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    bottom = [index[p] for p in face_vertices(box, "bottom")]
+    top = [index[p] for p in face_vertices(box, "top")]
+    for face in (bottom, top):
+        for v in face:
+            parent[v] = face[0]
+    for e in never_cut:
+        u, v = ends[e]
+        parent[find(u)] = find(v)
+    root = [find(v) for v in range(len(index))]
+    label = {root[bottom[0]]: _SOURCE}
+    if label.setdefault(root[top[0]], _SINK) != _SINK:
+        raise PinningInfeasibleError("never-cut edges join bottom to top: no finite cut exists")
+    for r in root:
+        label.setdefault(r, len(label))
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in label]
+    arc_edge: list[int] = []
+    for e, (u, v) in enumerate(ends):
+        u, v = label[root[u]], label[root[v]]
+        if u != v:
+            nbrs[u].append((len(arc_edge), v))
+            nbrs[v].append((len(arc_edge) + 1, u))
+            arc_edge += (e, e)
+    arcs = np.array(arc_edge, dtype=np.intp)
+    arcs.setflags(write=False)
+    return tuple(tuple(a) for a in nbrs), arcs
+
+
+def _contracted_value(box: BoxSpec, field: CapacityField, never_cut: frozenset[int]) -> int:
+    """Dinic on the contracted graph, whose arcs are all finite.
+
+    Each phase labels nodes by residual distance to the sink, with a
+    breadth-first search from the sink that stops at the source's level, so
+    the path search from the source only walks arcs that lead one step
+    closer to the sink. After each augmentation the search resumes from the
+    tail of the first arc it saturated rather than from the source.
+    """
+    nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
+    cap = field.caps[arc_edge].tolist()
+    n = len(nbrs)
+    value = 0
+    while True:
+        dist = [-1] * n
+        dist[_SINK] = 0
+        frontier = [_SINK]
+        while frontier and dist[_SOURCE] < 0:
+            found = []
+            for w in frontier:
+                for b, v in nbrs[w]:
+                    if dist[v] < 0 and cap[b ^ 1]:  # arc b ^ 1 runs from v to w
+                        dist[v] = dist[w] + 1
+                        found.append(v)
+            frontier = found
+        if dist[_SOURCE] < 0:
+            return value
+        it = [0] * n
+        verts = [_SOURCE]
+        path: list[int] = []  # path[j] is the arc out of verts[j]
+        while verts:
+            v = verts[-1]
+            arcs = nbrs[v]
+            i, end, closer = it[v], len(arcs), dist[v] - 1
+            while i < end:
+                a, w = arcs[i]
+                if dist[w] == closer and cap[a]:
+                    break
+                i += 1
+            it[v] = i
+            if i == end:  # dead end for the rest of this phase
+                dist[v] = -1
+                verts.pop()
+                if path:
+                    path.pop()
+                    it[verts[-1]] += 1
+                continue
+            path.append(a)
+            if w != _SINK:
+                verts.append(w)
+                continue
+            push = min([cap[a] for a in path])
+            value += push
+            for a in path:
+                cap[a] -= push
+                cap[a ^ 1] += push
+            first = next(j for j, a in enumerate(path) if not cap[a])
+            del path[first:], verts[first + 1 :]
+
+
+def value_solver(d: int) -> str:
+    """Name of the algorithm ``min_cut_value`` runs on d-dimensional boxes."""
+    return "planar_dual" if d == 2 else "contracted_dinic"
+
+
+def min_cut_value(
+    box: BoxSpec, field: CapacityField, never_cut: frozenset[int] = frozenset()
+) -> int:
+    """Maximal flow value alone, without stream or cut certificates.
+
+    For d=2 this is the cheapest left-wall-to-right-wall path in the planar
+    dual (Itai & Shiloach 1979; Hassin 1981), found by Dijkstra. For d >= 3
+    it is Dinic's blocking flow on the graph with the faces and never-cut
+    components contracted. Both run on Python ints and so are exact at any
+    total below the 64-bit contract, and both raise PinningInfeasibleError
+    where the reference solver does.
+    """
+    _check_field(box, field)
+    if value_solver(box.d) == "planar_dual":
+        return _dual_value(box, field, never_cut)
+    return _contracted_value(box, field, never_cut)
 
 
 @lru_cache(maxsize=None)

@@ -276,3 +276,42 @@ def test_report_on_empty_csv_is_config_error(tmp_path):
     empty.write_text("")
     cfg = write_config(tmp_path, "r.json", {"inputs": [str(empty)]})
     assert run(["report", "--config", cfg, "--out", tmp_path / "m.csv"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "rule, coeff, n, h",
+    [
+        ("const", 2.5, 8, 3),
+        ("log", 1.5, 8, 5),  # 1.5 * ceil(ln 8) = 4.5
+        ("linear", 0.5, 8, 4),
+    ],
+)
+def test_fractional_height_coeff_rounds_up(tmp_path, rule, coeff, n, h):
+    cfg = write_config(
+        tmp_path, "c.json",
+        {
+            "seed": 12, "distribution": BERN, "n": n,
+            "height": {"rule": rule, "coeff": coeff}, "lambdas": ["0.5"], "samples": 2,
+        },
+    )
+    out = tmp_path / "psi.csv"
+    assert run(["psi", "--config", cfg, "--out", out]) == EXIT_OK
+    header, row = out.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["h"] == str(h)
+
+
+def test_sidecar_names_value_solver(tmp_path):
+    psi = write_config(
+        tmp_path, "psi.json",
+        {"seed": 13, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 2},
+    )
+    nu = write_config(
+        tmp_path, "nu.json",
+        {"seed": 13, "distribution": BERN, "d": 3, "n_list": [2], "k_slab": 1, "replications": 2},
+    )
+    for command, cfg, solver in (("psi", psi, "planar_dual"), ("nu", nu, "contracted_dinic")):
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
+        meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
+        assert meta["value_solver"] == solver
+        assert solver not in out.read_text()

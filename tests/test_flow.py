@@ -312,11 +312,12 @@ def test_side_by_side_superadditivity():
 
 
 def test_capacity_overflow_is_explicit():
-    box = BoxSpec((2,), 2)
-    field = CapacityField(box, 2**62, np.full(6, 2**62, dtype=np.int64))
-    for solve in (max_flow, min_cut_value):
-        with pytest.raises(CapacityOverflowError):
-            solve(box, field)
+    for box in (BoxSpec((2,), 2), BoxSpec((2, 1), 1)):
+        n = len(edges_in_box(box))
+        field = CapacityField(box, 2**62, np.full(n, 2**62, dtype=np.int64))
+        for solve in (max_flow, min_cut_value):
+            with pytest.raises(CapacityOverflowError):
+                solve(box, field)
 
 
 def test_solver_is_deterministic():
@@ -386,21 +387,6 @@ def test_dual_infeasible_pinning_matches_reference():
             min_cut_value(box, field, never)
 
 
-def test_min_cut_value_dispatches_d3_to_reference(monkeypatch):
-    calls = []
-    reference = flow.solve_min_cut
-
-    def recording(box, field, never_cut=frozenset()):
-        calls.append(box.d)
-        return reference(box, field, never_cut)
-
-    monkeypatch.setattr(flow, "solve_min_cut", recording)
-    for box in (BoxSpec((3,), 3), BoxSpec((2, 3), 2)):
-        field = sample_field(box, DistributionSpec.uniform(0, 1), R, seed=11)
-        assert min_cut_value(box, field) == reference(box, field)[0]
-    assert calls == [3]
-
-
 def test_dual_cache_stays_bounded():
     cache = flow._dual_adjacency
     for k in range(1, 9):
@@ -408,4 +394,74 @@ def test_dual_cache_stays_bounded():
             box = BoxSpec((k,), h)
             min_cut_value(box, CapacityField.constant(box, 1))
     info = cache.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def value_or_infeasible(solve):
+    try:
+        return solve()
+    except PinningInfeasibleError:
+        return "infeasible"
+
+
+@given(
+    d=st.sampled_from([3, 4]),
+    sides=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+    h=st.integers(1, 5),
+    offset=st.tuples(*[st.integers(-5, 5)] * 4),
+    law=st.sampled_from(LAWS),
+    seed=st.integers(0, 2**32),
+    k_disc=st.sampled_from([None, 1, 4, 256]),
+    never_frac=st.sampled_from([0.0, 0.05, 0.15, 0.3]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_contracted_value_matches_reference(d, sides, h, offset, law, seed, k_disc, never_frac):
+    box = BoxSpec(sides[: d - 1], h, offset[:d])
+    field = sample_field(box, law, R, seed)
+    if k_disc is not None:
+        field = discretize(field, k_disc)
+    picks = np.random.Generator(np.random.Philox(key=seed)).random(len(edges_in_box(box)))
+    never = frozenset(np.flatnonzero(picks < never_frac).tolist())
+    expected = value_or_infeasible(lambda: solve_min_cut(box, field, never)[0])
+    assert value_or_infeasible(lambda: min_cut_value(box, field, never)) == expected
+
+
+@given(
+    d=st.sampled_from([3, 4]),
+    sides=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+    half=st.integers(1, 3),
+    lo=st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
+    law=st.sampled_from(LAWS),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_contracted_pinned_slab_matches_tau_slab(d, sides, half, lo, law, seed):
+    lo = lo[: d - 1]
+    base = RectSpec(lo, tuple(a + s for a, s in zip(lo, sides)))
+    field = sample_field(base.slab_box(half), law, R, seed)
+    never = uncuttable_edge_ids(base, half)
+    assert min_cut_value(field.box, field, never) == tau_slab(SlabProblem(base, half, field))[0]
+
+
+def test_contracted_infeasible_pinning_matches_reference():
+    box = BoxSpec((2, 3), 3, (1, -2, 5))
+    field = sample_field(box, DistributionSpec.uniform(0, 1), R, seed=6)
+    edges = edges_in_box(box)
+    column = frozenset(i for i, e in enumerate(edges) if e.a[:-1] == e.b[:-1] == (3, 0))
+    for never in (column, frozenset(range(len(edges)))):
+        with pytest.raises(PinningInfeasibleError):
+            solve_min_cut(box, field, never)
+        with pytest.raises(PinningInfeasibleError):
+            min_cut_value(box, field, never)
+    # one edge short of a full column leaves a finite cut
+    partial = column - {min(column)}
+    assert min_cut_value(box, field, partial) == solve_min_cut(box, field, partial)[0]
+
+
+def test_contracted_cache_stays_bounded():
+    for k in range(1, 6):
+        for h in range(1, 6):
+            box = BoxSpec((k, 2), h)
+            min_cut_value(box, CapacityField.constant(box, 1))
+    info = flow._contracted.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -14,8 +14,10 @@ from .capacity import (
     DistributionSpec,
     as_fraction,
     derive_seed,
+    derive_seeds,
     discretize,
     dist_constants,
+    sample_block,
     sample_field,
 )
 from .cuts import SlabProblem, SubadditivityReport, check_subadditivity, tau_slab
@@ -59,7 +61,6 @@ from .junction import (
 from .lattice import (
     BoxSpec,
     Edge,
-    OrientedEdge,
     RectSpec,
     classify_edge,
     edges_in_box,

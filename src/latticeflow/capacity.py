@@ -7,13 +7,17 @@ operates on; finite laws whose atoms sit on the grid are stored exactly.
 
 Sampling is counter based: the draw for edge id i is a pure function of
 (seed, i), so fields are reproducible across platforms, independent of
-evaluation order, and replica workers can sample concurrently.
+evaluation order, and replica workers can sample concurrently. Since a
+Philox stream is fixed by its key and counter alone (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), ``sample_block``
+re-keys one generator per row instead of building one per replica.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from numbers import Rational
 
@@ -238,32 +242,131 @@ class CapacityField:
         return CapacityField(sub, self.resolution, np.array(caps, dtype=np.int64))
 
 
-def edge_uniforms(seed: int, count: int) -> np.ndarray:
-    """Uniform [0, 1) draws where draw i depends only on (seed, i)."""
-    _check_seed(seed)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random(count)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# SeedSequence(master, spawn_key=(i,)) with its zero-padded 4-word run entropy
+# calls hashmix 4 + 12 times before the spawn words, 4 more per spawn word.
+_SPAWN_CONSTS = _hash_consts(_INIT_A, _MULT_A, 16 + 2 * _POOL_SIZE)[16:]
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2)
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """XOR in a chain constant, multiply by the next one, fold the high half."""
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix_word(pool, word, consts) -> list:
+    """Mix one spawn word into every pool word, as SeedSequence.mix_entropy does."""
+    return [_mix(p, _hashmix(word, c)) for p, c in zip(pool, consts)]
+
+
+@lru_cache(maxsize=64)
+def _master_pool(master: int) -> tuple[int, ...]:
+    """SeedSequence pool of ``master`` once its run entropy is mixed in."""
+    words = [master >> s & _MASK32 for s in range(0, max(master.bit_length(), 1), 32)]
+    consts = iter(_hash_consts(_INIT_A, _MULT_A, 16))
+    pool = [_hashmix(w, next(consts)) for w in words + [0] * (_POOL_SIZE - len(words))]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    return tuple(pool)
+
+
+def derive_seeds(master: int, indices):
+    """``derive_seed(master, i)`` for every index, in one vectorised pass.
+
+    Equals ``SeedSequence(master, spawn_key=(i,)).generate_state(1,
+    np.uint64)``: the master's pool is mixed once, then only the one or two
+    32-bit spawn words of each index are mixed in. Takes a sequence of
+    indices below 2**64 and returns a uint64 array; a single int index runs
+    the same arithmetic on Python ints and returns an int.
+    """
+    _check_seed(master)
+    idx = indices if isinstance(indices, int) else np.asarray(indices, dtype=np.uint64)
+    pool = _mix_word(_master_pool(master), idx & _MASK32, _SPAWN_CONSTS[:_POOL_SIZE])
+    high = idx >> 32
+    wide = high > 0
+    if np.any(wide):  # indices of 2**32 and above have a second spawn word
+        mixed = _mix_word(pool, high, _SPAWN_CONSTS[_POOL_SIZE:])
+        pool = [p ^ (m ^ p) * wide for p, m in zip(pool, mixed)]  # m where wide
+    lo, hi = (_hashmix(pool[i], c, _MULT_B) for i, c in enumerate(_STATE_CONSTS))
+    return lo | hi << 32
 
 
 def derive_seed(master: int, index: int) -> int:
     """Stable 64-bit sub-seed for replica ``index`` of a master seed."""
-    _check_seed(master)
-    ss = np.random.SeedSequence(master, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    if not isinstance(index, int) or not 0 <= index < 2**64:
+        raise ValueError("replica index must be a 64-bit unsigned integer")
+    return int(derive_seeds(master, index))
 
 
-def sample_field(
+def edge_uniform_rows(seeds, count: int) -> np.ndarray:
+    """Row i is ``edge_uniforms(seeds[i], count)``.
+
+    One Philox generator serves the whole block: it is re-keyed to
+    ``[seed, 0]`` with counter 0 and an empty buffer before each row, which
+    is exactly the state a fresh ``Philox(key=seed)`` starts in, so every row
+    is drawn by numpy's own Philox code.
+    """
+    seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else list(seeds)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    key = np.zeros(2, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    u = np.empty((len(seeds), count))
+    for row, seed in zip(u, seeds):
+        key[0] = _check_seed(seed)
+        bitgen.state = state
+        gen.random(out=row)
+    return u
+
+
+def edge_uniforms(seed: int, count: int) -> np.ndarray:
+    """Uniform [0, 1) draws where draw i depends only on (seed, i)."""
+    return edge_uniform_rows([seed], count)[0]
+
+
+def sample_block(
     box: BoxSpec,
     dist: DistributionSpec,
-    resolution: int = DEFAULT_RESOLUTION,
-    seed: int = 0,
-) -> CapacityField:
-    """One independent capacity draw per edge, floored onto the 1/R grid."""
+    resolution: int,
+    seeds,
+) -> np.ndarray:
+    """Capacity rows of shape (len(seeds), edges): row i is the field of seeds[i].
+
+    Each row equals ``sample_field(box, dist, resolution, seeds[i]).caps``;
+    the law is mapped over the whole block at once.
+    """
     if not is_power_of_two(resolution):
         raise ValueError("resolution must be a positive power of two")
-    _check_seed(seed)
-    n = len(edges_in_box(box))
-    u = edge_uniforms(seed, n)
+    u = edge_uniform_rows(seeds, box.edge_count)
     r = float(resolution)
     if dist.is_finite:
         units = [unit_count(v, resolution) for v in dist.support]
@@ -271,8 +374,7 @@ def sample_field(
             raise CapacityOverflowError("a support value overflows 64-bit capacity units")
         cum = np.cumsum(np.array([float(p) for p in dist.probs]))
         cum[-1] = 1.0  # guard float drift; u < 1 keeps indices in range
-        caps = np.array(units, dtype=np.int64)[np.searchsorted(cum, u, side="right")]
-        return CapacityField(box, resolution, caps, seed=seed)
+        return np.array(units, dtype=np.int64)[np.searchsorted(cum, u, side="right")]
     if dist.kind == UNIFORM:
         a, b = dist.support
         x = float(a) * r + u * float(b - a) * r
@@ -287,7 +389,18 @@ def sample_field(
     x = np.floor(x)
     if not (x < 2.0**63).all():  # also false for inf and NaN
         raise CapacityOverflowError("a sampled capacity overflows 64-bit capacity units")
-    return CapacityField(box, resolution, x.astype(np.int64), seed=seed)
+    return x.astype(np.int64)
+
+
+def sample_field(
+    box: BoxSpec,
+    dist: DistributionSpec,
+    resolution: int = DEFAULT_RESOLUTION,
+    seed: int = 0,
+) -> CapacityField:
+    """One independent capacity draw per edge, floored onto the 1/R grid."""
+    caps = sample_block(box, dist, resolution, [seed])[0]
+    return CapacityField(box, resolution, caps, seed=seed)
 
 
 def discretize(field: CapacityField, k: int) -> CapacityField:

@@ -1,8 +1,9 @@
 """Monte Carlo and exact-enumeration estimators for the flow constants.
 
 Replica r of a run always samples its field with the sub-seed derived from
-(master seed, r), so results are independent of evaluation order and of the
-number of worker processes, and merging over replicas is a plain sum.
+(master seed, r), so results are independent of evaluation order, of the
+number of worker processes and of how replicas are grouped into sampling
+blocks, and merging over replicas is a plain sum.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .capacity import (
     CapacityField,
     DistributionSpec,
     as_fraction,
-    derive_seed,
+    derive_seeds,
     discretize,
-    sample_field,
+    sample_block,
     unit_count,
 )
 from .cuts import uncuttable_edge_ids
@@ -35,12 +36,26 @@ class EnumerationBudgetError(RuntimeError):
     """The exact enumeration would exceed the configured assignment budget."""
 
 
-def _map_indices(fn, count: int, workers: int) -> list:
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    chunk = max(1, count // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count), chunksize=chunk))
+# Capacities sampled per block: the (rows, edges) float temporaries of one
+# block stay near 128 KiB whatever the box size.
+_BLOCK_ELEMENTS = 2**14
+
+
+def _map_indices(fn, count: int, width: int, workers: int) -> list:
+    """``fn(block)`` over consecutive index blocks of range(count), concatenated.
+
+    A block holds at most _BLOCK_ELEMENTS // width replicas of ``width``
+    edges each, and there are at least workers * 8 blocks when count allows,
+    so a pool stays balanced.
+    """
+    rows = max(1, min(_BLOCK_ELEMENTS // width, -(-count // (workers * 8))))
+    blocks = [range(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+    if workers <= 1 or len(blocks) <= 1:
+        parts = map(fn, blocks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(fn, blocks))
+    return [value for part in parts for value in part]
 
 
 def wilson_interval(hits: int, samples: int, z: float = 1.96) -> tuple[float, float]:
@@ -75,9 +90,15 @@ class NuEstimate:
     stderr: float
 
 
-def _nu_replica(dist, base, k_slab, resolution, seed, index: int) -> int:
-    field = sample_field(base.slab_box(k_slab), dist, resolution, derive_seed(seed, index))
-    return min_cut_value(field.box, field, uncuttable_edge_ids(base, k_slab))
+def _nu_replica(slab: BoxSpec, resolution: int, never_cut: frozenset[int], caps) -> int:
+    return min_cut_value(slab, CapacityField(slab, resolution, caps), never_cut)
+
+
+def _nu_block(base, k_slab, dist, resolution, seed, block: range) -> list[int]:
+    slab = base.slab_box(k_slab)
+    never_cut = uncuttable_edge_ids(base, k_slab)
+    rows = sample_block(slab, dist, resolution, derive_seeds(seed, block))
+    return [_nu_replica(slab, resolution, never_cut, caps) for caps in rows]
 
 
 def estimate_nu(
@@ -95,8 +116,8 @@ def estimate_nu(
     if replications < 1:
         raise ValueError("replications must be >= 1")
     base = RectSpec.cube(n, d)
-    fn = partial(_nu_replica, dist, base, k_slab, resolution, seed)
-    taus = _map_indices(fn, replications, workers)
+    fn = partial(_nu_block, base, k_slab, dist, resolution, seed)
+    taus = _map_indices(fn, replications, base.slab_box(k_slab).edge_count, workers)
     denom = base.area * resolution
     mean = Fraction(sum(taus), replications * denom)
     if replications > 1:
@@ -137,12 +158,16 @@ class PsiEstimate:
         return self.hits / self.samples
 
 
-def _psi_replica(dist, n, h, k_disc, resolution, d, seed, index: int) -> int:
-    box = BoxSpec((n,) * (d - 1), h)
-    field = sample_field(box, dist, resolution, derive_seed(seed, index))
+def _psi_replica(box: BoxSpec, resolution: int, k_disc: int, caps) -> int:
+    field = CapacityField(box, resolution, caps)
     if k_disc != resolution:
         field = discretize(field, k_disc)
     return min_cut_value(box, field)
+
+
+def _psi_block(box, k_disc, dist, resolution, seed, block: range) -> list[int]:
+    rows = sample_block(box, dist, resolution, derive_seeds(seed, block))
+    return [_psi_replica(box, resolution, k_disc, caps) for caps in rows]
 
 
 def estimate_psi_sweep(
@@ -172,8 +197,9 @@ def estimate_psi_sweep(
         raise ValueError("lam must be non-negative")
     area = n ** (d - 1)
     thresholds = [math.ceil(l * area * resolution) for l in lamfs]
-    fn = partial(_psi_replica, dist, n, h, k_disc, resolution, d, seed)
-    flows = _map_indices(fn, samples, workers)
+    box = BoxSpec((n,) * (d - 1), h)
+    fn = partial(_psi_block, box, k_disc, dist, resolution, seed)
+    flows = _map_indices(fn, samples, box.edge_count, workers)
     volume = area * h
     out = []
     for lamf, thr in zip(lamfs, thresholds):

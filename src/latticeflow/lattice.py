@@ -65,27 +65,6 @@ class Edge:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class OrientedEdge:
-    """Ordered pair of adjacent lattice points; fluid moves tail -> head."""
-
-    tail: Point
-    head: Point
-
-    def __post_init__(self) -> None:
-        tail, head = tuple(self.tail), tuple(self.head)
-        _unit_axis(tail, head)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "head", head)
-
-    @property
-    def edge(self) -> Edge:
-        return Edge(self.tail, self.head)
-
-    def reversed(self) -> "OrientedEdge":
-        return OrientedEdge(self.head, self.tail)
-
-
 def classify_edge(e: Edge) -> str:
     """An edge is vertical when it varies in the last coordinate."""
     return VERTICAL if e.axis == e.d - 1 else HORIZONTAL
@@ -139,6 +118,12 @@ class BoxSpec:
         for k in self.dims:
             area *= k
         return area
+
+    @property
+    def edge_count(self) -> int:
+        """``len(edges_in_box(self))``, without building the edges."""
+        area = self.base_area
+        return self.height * (area + sum(area // k * (k - 1) for k in self.dims))
 
     def base_range(self, axis: int) -> range:
         lo = self.offset[axis]

@@ -20,6 +20,7 @@ from .capacity import (
     DistributionSpec,
     derive_seed,
     discretize,
+    edge_uniforms,
     sample_field,
 )
 from .cuts import check_subadditivity
@@ -151,9 +152,7 @@ def check_menger(seed: int, trials: int = 40) -> PropertyResult:
     r = DEFAULT_RESOLUTION
     bad = 0
     for t in range(trials):
-        u = np.random.Generator(np.random.Philox(key=derive_seed(seed, t))).random(
-            len(edges_in_box(box))
-        )
+        u = edge_uniforms(derive_seed(seed, t), len(edges_in_box(box)))
         caps = np.where(u < 0.5, r, 0).astype(np.int64)
         field = CapacityField(box, r, caps)
         open_ids = frozenset(i for i, c in enumerate(caps.tolist()) if c)

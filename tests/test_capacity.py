@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
+    CapacityOverflowError,
     DistributionSpec,
     as_fraction,
     derive_seed,
+    derive_seeds,
     discretize,
     dist_constants,
+    edge_uniform_rows,
     edge_uniforms,
+    sample_block,
     sample_field,
     unit_count,
 )
@@ -138,6 +142,69 @@ def test_derive_seed_is_stable_and_spread():
     assert derive_seed(7, 0) == derive_seed(7, 0)
     assert derive_seed(7, 0) != derive_seed(7, 1)
     assert derive_seed(8, 0) != derive_seed(7, 0)
+
+
+def _numpy_sub_seed(master, index):
+    ss = np.random.SeedSequence(master, spawn_key=(index,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+@pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_derive_seeds_match_numpy_seed_sequence(master):
+    # 2**32 and above take a second 32-bit spawn word
+    indices = [*range(40), 2**32 - 1, 2**32, 2**32 + 1, 2**47 + 9, 2**64 - 1]
+    expected = [_numpy_sub_seed(master, i) for i in indices]
+    got = derive_seeds(master, indices)
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected
+    assert [derive_seed(master, i) for i in indices] == expected
+    with pytest.raises(ValueError):
+        derive_seed(master, -1)
+
+
+LAWS = (
+    DistributionSpec.bernoulli("0.9", 0, 1),
+    DistributionSpec.finite_discrete([("0", "1/4"), ("1/2", "1/4"), ("3", "1/2")]),
+    DistributionSpec.uniform("1/3", "7/2"),
+    DistributionSpec.exponential(0.7),
+    DistributionSpec.half_normal(1.3),
+)
+EDGE_SEEDS = [0, 1, 2**63, 2**64 - 1, *derive_seeds(5, range(6)).tolist()]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 10, 27, 480])
+def test_rekeyed_generator_equals_a_fresh_one(count):
+    # Philox yields four words per counter step, so the counts straddle it
+    rows = edge_uniform_rows(EDGE_SEEDS, count)
+    for row, seed in zip(rows, EDGE_SEEDS):
+        assert np.array_equal(row, np.random.Generator(np.random.Philox(key=seed)).random(count))
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("box", [BoxSpec((1,), 1), BoxSpec((3,), 2), BoxSpec((5,), 3), BoxSpec((2, 3), 1)])
+def test_block_rows_equal_one_seed_sampling(law, box):
+    assert box.edge_count % 4  # 1, 10, 27 and 13 edges: never whole counters
+    block = sample_block(box, law, R, EDGE_SEEDS)
+    assert block.shape == (len(EDGE_SEEDS), box.edge_count) and block.dtype == np.int64
+    for row, seed in zip(block, EDGE_SEEDS):
+        assert np.array_equal(row, sample_field(box, law, R, seed).caps)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        DistributionSpec.bernoulli("0.5", 0, "1e15"),
+        DistributionSpec.uniform(0, "1e15"),
+        DistributionSpec.exponential(1e-20),
+    ],
+    ids=lambda law: law.kind,
+)
+def test_block_sampling_overflow_raises(law):
+    box = BoxSpec((3,), 3)
+    with pytest.raises(CapacityOverflowError):
+        sample_block(box, law, R, EDGE_SEEDS)
+    with pytest.raises(CapacityOverflowError):
+        sample_field(box, law, R, 0)
 
 
 def test_sample_rejects_bad_inputs():

@@ -10,8 +10,11 @@ from latticeflow.capacity import (
     CapacityField,
     DistributionSpec,
     derive_seed,
+    discretize,
+    sample_field,
     unit_count,
 )
+from latticeflow import estimators
 from latticeflow.cuts import SlabProblem, tau_slab
 from latticeflow.estimators import (
     EnumerationBudgetError,
@@ -22,6 +25,7 @@ from latticeflow.estimators import (
     psi_curve_diagnostics,
     wilson_interval,
 )
+from latticeflow.flow import max_flow
 from latticeflow.lattice import BoxSpec, RectSpec, edges_in_box
 
 R = DEFAULT_RESOLUTION
@@ -87,6 +91,45 @@ def test_nu_is_deterministic_and_worker_invariant():
     c = estimate_nu(BERN09, 3, 2, 20, seed=15, workers=2)
     assert a.mean == b.mean == c.mean
     assert a.stderr == b.stderr == c.stderr
+
+
+# With four-row sampling blocks, 31, 32 and 33 replicas end one below, at
+# and one above a block boundary; two workers split them into smaller blocks.
+BLOCK_ROWS = 4
+BOUNDARY_COUNTS = (4 * 8 - 1, 4 * 8, 4 * 8 + 1)
+
+
+@pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+def test_nu_is_independent_of_sampling_blocks(monkeypatch, count):
+    base, k_slab, dist = RectSpec.cube(3, 2), 2, DistributionSpec.exponential(1.0)
+    slab = base.slab_box(k_slab)
+    taus = [
+        tau_slab(SlabProblem(base, k_slab, sample_field(slab, dist, R, derive_seed(33, r))))[0]
+        for r in range(count)
+    ]
+    default = estimate_nu(dist, 3, k_slab, count, seed=33)
+    assert default.mean == Fraction(sum(taus), count * base.area * R)
+    monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", BLOCK_ROWS * slab.edge_count)
+    for workers in (1, 2):
+        est = estimate_nu(dist, 3, k_slab, count, seed=33, workers=workers)
+        assert (est.mean, est.stderr) == (default.mean, default.stderr)
+
+
+@pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+def test_psi_sweep_is_independent_of_sampling_blocks(monkeypatch, count):
+    box, dist, k_disc = BoxSpec((2,), 3), DistributionSpec.uniform(0, 1), 2**10
+    flows = [
+        max_flow(box, discretize(sample_field(box, dist, R, derive_seed(34, r)), k_disc)).value
+        for r in range(count)
+    ]
+    # one lam per distinct flow value: the hit counts then pin down every flow
+    lams = sorted({Fraction(v, 2 * R) for v in flows})
+    expected = [sum(v >= lam * 2 * R for v in flows) for lam in lams]
+    assert len(lams) > count // 2
+    monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", BLOCK_ROWS * box.edge_count)
+    for workers in (1, 2):
+        sweep = estimate_psi_sweep(dist, lams, 2, 3, k_disc, count, seed=34, workers=workers)
+        assert [e.hits for e in sweep] == expected
 
 
 def test_psi_lambda_zero_always_hits():

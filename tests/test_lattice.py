@@ -9,7 +9,6 @@ from latticeflow.lattice import (
     VERTICAL,
     BoxSpec,
     Edge,
-    OrientedEdge,
     RectSpec,
     box_vertices,
     classify_edge,
@@ -63,12 +62,6 @@ def test_edge_canonicalises_and_validates():
         Edge((0, 0), (0, 2))
 
 
-def test_oriented_edge():
-    oe = OrientedEdge((2, 3, 5), (2, 3, 6))
-    assert oe.edge == Edge((2, 3, 5), (2, 3, 6))
-    assert oe.reversed().tail == (2, 3, 6)
-
-
 def test_classify_edge():
     assert classify_edge(Edge((1, 0), (1, 1))) == VERTICAL
     assert classify_edge(Edge((1, 1), (2, 1))) == HORIZONTAL
@@ -105,6 +98,13 @@ def test_edge_ids_are_lexicographic_and_dense():
     edges = edges_in_box(box)
     assert list(edges) == sorted(edges, key=lambda e: (e.a, e.b))
     assert sorted(edge_ids(box).values()) == list(range(len(edges)))
+
+
+@pytest.mark.parametrize(
+    "box", [BoxSpec((1,), 1), BoxSpec((5,), 3), BoxSpec((2, 3), 4, (1, -2, 7)), BoxSpec((3, 1, 2), 2)]
+)
+def test_edge_count_matches_edge_list(box):
+    assert box.edge_count == len(edges_in_box(box))
 
 
 def test_face_vertices():

@@ -44,6 +44,7 @@ from .flow import (
     flow_value,
     max_flow,
     menger_count,
+    min_cut,
     min_cut_value,
     validate_stream,
 )

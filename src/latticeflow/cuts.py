@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .capacity import CapacityField
-from .flow import CutSet, solve_min_cut
+from .flow import CutSet, min_cut
 from .lattice import (
+    GEOMETRY_CACHE_SIZE,
     VERTICAL,
     Edge,
     RectSpec,
@@ -42,7 +43,7 @@ class SlabProblem:
             raise ValueError("field must cover exactly the slab box of the base")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def uncuttable_edge_ids(base: RectSpec, half_height: int) -> frozenset[int]:
     """Slab edge ids excluded from cut membership by the pinning condition.
 
@@ -71,8 +72,8 @@ def tau_slab(problem: SlabProblem) -> tuple[int, CutSet]:
         if problem.pinned
         else frozenset()
     )
-    value, _cap, cut, _side = solve_min_cut(problem.field.box, problem.field, never)
-    return value, cut
+    cut = min_cut(problem.field.box, problem.field, never)
+    return cut.weight, cut
 
 
 @dataclass(eq=False)

@@ -1,28 +1,27 @@
 """Exact maximal flow from the bottom to the top face of a box.
 
-Integer-unit capacities, a deterministic blocking-flow (Dinic) solver with a
-super-source feeding the bottom face and a super-sink draining the top face,
+Integer-unit capacities, one deterministic blocking-flow (Dinic) solver,
 minimum cuts extracted from residual reachability, stream validation, and
 the decomposition of discrete streams into unit paths of the parallel-edge
-expansion. That solver is the reference: it provides every cut and stream
-certificate.
+expansion.
 
-Value-only solves (``min_cut_value``) take faster routes. On d=2 boxes the
-value is a shortest path in the planar dual. On d >= 3 boxes the faces and
-the never-cut components are first merged into the source and the sink:
-a finite cut keeps each merged class on one side, so the minimum is
-unchanged, and the smaller graph has only finite arcs.
+The solver first contracts the box graph: the bottom face becomes the
+source, the top face the sink, and each never-cut component one node. A
+finite cut keeps each merged class on one side, so minimum cuts are
+unchanged, and the smaller graph has only finite arcs. ``min_cut_value``
+returns the value alone, ``min_cut`` the minimum cut with the smallest
+source side, and ``max_flow`` also a realising stream. On d=2 boxes the
+value alone is a shortest path in the planar dual instead.
 
 Edges may carry an explicit "never cut" marker instead of a finite capacity;
-the solver treats such edges as impossible to saturate, which is how the
-pinned-boundary cut problems are expressed without resorting to large
-sentinel numbers.
+the solver merges the ends of such edges, which is how the pinned-boundary
+cut problems are expressed without resorting to large sentinel numbers.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -31,6 +30,7 @@ import numpy as np
 
 from .capacity import CapacityField, CapacityOverflowError
 from .lattice import (
+    GEOMETRY_CACHE_SIZE,
     BoxSpec,
     Edge,
     Point,
@@ -95,7 +95,6 @@ class MaxFlowResult:
     value: int
     stream: Stream
     min_cut: CutSet
-    source_side: frozenset[Point]
 
 
 @dataclass(eq=False)
@@ -105,180 +104,11 @@ class Violation:
     amount: int
 
 
-@dataclass(eq=False)
-class _SolverGraph:
-    index: dict[Point, int]
-    to: list[int]
-    adj: list[list[int]]
-    edge_ends: list[tuple[int, int]]
-    src: int
-    snk: int
-    n_lattice_arcs: int
-
-
-@lru_cache(maxsize=None)
-def _graph(box: BoxSpec) -> _SolverGraph:
-    edges = edges_in_box(box)
-    points = sorted({p for e in edges for p in (e.a, e.b)})
-    index = {p: i for i, p in enumerate(points)}
-    src = len(points)
-    snk = src + 1
-    to: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(len(points) + 2)]
-
-    def add(u: int, v: int) -> None:
-        a = len(to)
-        to.append(v)
-        adj[u].append(a)
-        to.append(u)
-        adj[v].append(a + 1)
-
-    edge_ends = []
-    for e in edges:
-        u, v = index[e.a], index[e.b]
-        edge_ends.append((u, v))
-        add(u, v)
-    n_lattice_arcs = len(to)
-    for p in sorted(face_vertices(box, "bottom")):
-        add(src, index[p])
-    for p in sorted(face_vertices(box, "top")):
-        add(index[p], snk)
-    return _SolverGraph(index, to, adj, edge_ends, src, snk, n_lattice_arcs)
-
-
-@lru_cache(maxsize=None)
-def _inf_mask(box: BoxSpec, never_cut: frozenset[int]) -> tuple[bool, ...]:
-    g = _graph(box)
-    mask = [False] * len(g.to)
-    for e in never_cut:
-        mask[2 * e] = True
-        mask[2 * e + 1] = True
-    for a in range(g.n_lattice_arcs, len(g.to), 2):
-        mask[a] = True  # artificial source/sink arcs are unbounded
-    return tuple(mask)
-
-
-def _dinic(to, adj, is_inf, cap, src, snk) -> int:
-    """Blocking-flow maximal flow; mutates ``cap`` into the residual state."""
-    n = len(adj)
-    value = 0
-    while True:
-        level = [-1] * n
-        level[src] = 0
-        q = deque([src])
-        while q:
-            v = q.popleft()
-            lv = level[v] + 1
-            for a in adj[v]:
-                w = to[a]
-                if level[w] < 0 and (is_inf[a] or cap[a] > 0):
-                    level[w] = lv
-                    q.append(w)
-        if level[snk] < 0:
-            return value
-        it = [0] * n
-        while True:
-            vstack = [src]
-            astack: list[int] = []
-            found = False
-            while vstack:
-                v = vstack[-1]
-                if v == snk:
-                    found = True
-                    break
-                moved = False
-                arcs = adj[v]
-                while it[v] < len(arcs):
-                    a = arcs[it[v]]
-                    w = to[a]
-                    if level[w] == level[v] + 1 and (is_inf[a] or cap[a] > 0):
-                        vstack.append(w)
-                        astack.append(a)
-                        moved = True
-                        break
-                    it[v] += 1
-                if not moved:
-                    vstack.pop()
-                    if not astack:
-                        break
-                    level[v] = -1  # dead end this phase
-                    astack.pop()
-                    it[vstack[-1]] += 1
-            if not found:
-                break
-            finite = [cap[a] for a in astack if not is_inf[a]]
-            if not finite:
-                raise PinningInfeasibleError(
-                    "augmenting path of unbounded edges: no finite cut exists"
-                )
-            bottleneck = min(finite)
-            for a in astack:
-                if not is_inf[a]:
-                    cap[a] -= bottleneck
-                ra = a ^ 1
-                if not is_inf[ra]:
-                    cap[ra] += bottleneck
-            value += bottleneck
-
-
 def _check_field(box: BoxSpec, field: CapacityField) -> None:
     if field.box != box:
         raise ValueError("field does not cover this box")
     if field.total_units > MAX_TOTAL_UNITS:
         raise CapacityOverflowError("total capacity exceeds the 64-bit accumulator")
-
-
-def solve_min_cut(
-    box: BoxSpec, field: CapacityField, never_cut: frozenset[int] = frozenset()
-) -> tuple[int, list[int], CutSet, frozenset[Point]]:
-    """Core solve: value, residual arc capacities, canonical min cut, source side.
-
-    The cut is the set of edges from the residual-reachable side of the
-    super-source to its complement; edges in ``never_cut`` cannot appear.
-    """
-    _check_field(box, field)
-    g = _graph(box)
-    caps = field.caps.tolist()
-    cap = [0] * len(g.to)
-    for e, t in enumerate(caps):
-        cap[2 * e] = t
-        cap[2 * e + 1] = t
-    is_inf = _inf_mask(box, never_cut)
-    value = _dinic(g.to, g.adj, is_inf, cap, g.src, g.snk)
-
-    seen = [False] * len(g.adj)
-    seen[g.src] = True
-    q = deque([g.src])
-    while q:
-        v = q.popleft()
-        for a in g.adj[v]:
-            w = g.to[a]
-            if not seen[w] and (is_inf[a] or cap[a] > 0):
-                seen[w] = True
-                q.append(w)
-    cut_ids = [e for e, (u, v) in enumerate(g.edge_ends) if seen[u] != seen[v]]
-    weight = sum(caps[e] for e in cut_ids)
-    if weight != value:
-        raise RuntimeError("internal solver error: cut weight differs from flow value")
-    source_side = frozenset(p for p, i in g.index.items() if seen[i])
-    return value, cap, CutSet(frozenset(cut_ids), weight), source_side
-
-
-def max_flow(box: BoxSpec, field: CapacityField) -> MaxFlowResult:
-    """Exact maximal flow with a realising stream and a minimum-cut certificate."""
-    value, cap, cut, source_side = solve_min_cut(box, field)
-    n = len(edges_in_box(box))
-    gvals = np.zeros(n, dtype=np.int64)
-    orient = np.ones(n, dtype=np.int8)
-    for e in range(n):
-        f = (cap[2 * e + 1] - cap[2 * e]) // 2
-        if f >= 0:
-            gvals[e] = f
-        else:
-            gvals[e] = -f
-            orient[e] = -1
-    stream = Stream(box, field.resolution, gvals, orient)
-    return MaxFlowResult(value, stream, cut, source_side)
 
 
 _LEFT, _RIGHT = 0, 1
@@ -353,8 +183,9 @@ def _contracted(
     Nodes are the classes, the source first and the sink second. An edge
     inside one class drops out; any other becomes two opposite arcs, listed
     as ``nbrs[tail] = ((arc, head), ...)``, with ``arc_edge[arc]`` its edge
-    id. Arcs ``a`` and ``a ^ 1`` are reverses. The origin box stands for
-    every offset, as edge ids do not depend on it.
+    id. Arcs ``a`` and ``a ^ 1`` are reverses, and each even arc runs from
+    the class of its edge's low end ``e.a`` to that of ``e.b``. The origin
+    box stands for every offset, as edge ids do not depend on it.
     """
     box = BoxSpec(dims, height)
     index: dict[Point, int] = {}
@@ -397,8 +228,14 @@ def _contracted(
     return tuple(tuple(a) for a in nbrs), arcs
 
 
-def _contracted_value(box: BoxSpec, field: CapacityField, never_cut: frozenset[int]) -> int:
+def _contracted_flow(
+    box: BoxSpec, field: CapacityField, never_cut: frozenset[int]
+) -> tuple[int, list[int]]:
     """Dinic on the contracted graph, whose arcs are all finite.
+
+    Returns the maximal flow value and the residual capacity of every arc
+    of ``_contracted``; arc ``a`` then carries ``(cap[a ^ 1] - cap[a]) // 2``
+    units along its direction.
 
     Each phase labels nodes by residual distance to the sink, with a
     breadth-first search from the sink that stops at the source's level, so
@@ -423,7 +260,7 @@ def _contracted_value(box: BoxSpec, field: CapacityField, never_cut: frozenset[i
                         found.append(v)
             frontier = found
         if dist[_SOURCE] < 0:
-            return value
+            return value, cap
         it = [0] * n
         verts = [_SOURCE]
         path: list[int] = []  # path[j] is the arc out of verts[j]
@@ -472,15 +309,74 @@ def min_cut_value(
     it is Dinic's blocking flow on the graph with the faces and never-cut
     components contracted. Both run on Python ints and so are exact at any
     total below the 64-bit contract, and both raise PinningInfeasibleError
-    where the reference solver does.
+    when the never-cut edges join bottom to top.
     """
     _check_field(box, field)
     if value_solver(box.d) == "planar_dual":
         return _dual_value(box, field, never_cut)
-    return _contracted_value(box, field, never_cut)
+    return _contracted_flow(box, field, never_cut)[0]
 
 
-@lru_cache(maxsize=None)
+def _flow_and_cut(
+    box: BoxSpec, field: CapacityField, never_cut: frozenset[int]
+) -> tuple[list[int], CutSet]:
+    """Residual arc capacities of a maximal flow, and its source-side cut.
+
+    The cut is every edge from a class the residual graph reaches from the
+    source to one it does not. That reachable set is the same for every
+    maximal flow (Picard & Queyranne 1980), so the cut is the minimum cut
+    with the smallest source side whichever flow Dinic found.
+    """
+    _check_field(box, field)
+    value, cap = _contracted_flow(box, field, never_cut)
+    nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
+    reached = [False] * len(nbrs)
+    reached[_SOURCE] = True
+    todo = [_SOURCE]
+    while todo:
+        for a, w in nbrs[todo.pop()]:
+            if cap[a] and not reached[w]:
+                reached[w] = True
+                todo.append(w)
+    cut_ids = frozenset(
+        int(arc_edge[a])
+        for v, arcs in enumerate(nbrs)
+        if reached[v]
+        for a, w in arcs
+        if not reached[w]
+    )
+    caps = field.caps.tolist()
+    weight = sum(caps[e] for e in cut_ids)
+    if weight != value:
+        raise RuntimeError("internal solver error: cut weight differs from flow value")
+    return cap, CutSet(cut_ids, weight)
+
+
+def min_cut(
+    box: BoxSpec, field: CapacityField, never_cut: frozenset[int] = frozenset()
+) -> CutSet:
+    """Minimum cut with the smallest source side; no edge of ``never_cut`` is in it.
+
+    Its weight is the maximal flow value. Raises PinningInfeasibleError when
+    the never-cut edges join bottom to top.
+    """
+    return _flow_and_cut(box, field, never_cut)[1]
+
+
+def max_flow(box: BoxSpec, field: CapacityField) -> MaxFlowResult:
+    """Exact maximal flow with a realising stream and a minimum-cut certificate.
+
+    Edges inside a contracted face carry no flow.
+    """
+    cap, cut = _flow_and_cut(box, field, frozenset())
+    arc_edge = _contracted(box.dims, box.height, frozenset())[1]
+    flow = np.zeros(box.edge_count, dtype=np.int64)
+    flow[arc_edge[::2]] = [(cap[a + 1] - cap[a]) // 2 for a in range(0, len(cap), 2)]
+    stream = Stream(box, field.resolution, np.abs(flow), np.where(flow < 0, -1, 1))
+    return MaxFlowResult(cut.weight, stream, cut)
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _top_vertical_ids(box: BoxSpec) -> tuple[int, ...]:
     ids = edge_ids(box)
     z = box.z_hi
@@ -498,7 +394,7 @@ def flow_value(stream: Stream) -> int:
     return int(sum(int(g[e]) * int(o[e]) for e in _top_vertical_ids(stream.box)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _incidence(box: BoxSpec) -> dict[Point, tuple[tuple[int, int], ...]]:
     inc: dict[Point, list[tuple[int, int]]] = defaultdict(list)
     for i, e in enumerate(edges_in_box(box)):
@@ -507,12 +403,26 @@ def _incidence(box: BoxSpec) -> dict[Point, tuple[tuple[int, int], ...]]:
     return {p: tuple(v) for p, v in inc.items()}
 
 
-def validate_stream(box: BoxSpec, field: CapacityField, stream: Stream) -> list[Violation]:
-    """Every capacity violation and every unbalanced interior vertex.
+def _unbalanced(stream: Stream) -> list[tuple[Point, int]]:
+    """``(vertex, net outflow)`` at every box vertex below the top face where
+    the stream does not balance; the bottom face feeds the box and the top
+    face drains it, so neither is constrained."""
+    g = stream.g.tolist()
+    orient = stream.orient.tolist()
+    inc = _incidence(stream.box)
+    z_top = stream.box.z_hi
+    out = []
+    for v in box_vertices(stream.box):
+        if v[-1] == z_top:
+            continue
+        net = sum(g[i] * orient[i] * sign for i, sign in inc[v])
+        if net != 0:
+            out.append((v, net))
+    return out
 
-    Balance is required at all box vertices below the top face; the bottom
-    face feeds the box and the top face drains it, so neither is constrained.
-    """
+
+def validate_stream(box: BoxSpec, field: CapacityField, stream: Stream) -> list[Violation]:
+    """Every capacity violation and every unbalanced vertex below the top face."""
     if field.box != box or stream.box != box:
         raise ValueError("box, field and stream shapes must match")
     violations: list[Violation] = []
@@ -522,16 +432,7 @@ def validate_stream(box: BoxSpec, field: CapacityField, stream: Stream) -> list[
         excess = int(stream.g[i]) - int(caps[i])
         if excess > 0:
             violations.append(Violation("capacity", e, excess))
-    inc = _incidence(box)
-    z_top = box.z_hi
-    for v in box_vertices(box):
-        if v[-1] == z_top:
-            continue
-        net = 0
-        for i, sign in inc[v]:
-            net += int(stream.g[i]) * int(stream.orient[i]) * sign
-        if net != 0:
-            violations.append(Violation("balance", v, net))
+    violations += [Violation("balance", v, net) for v, net in _unbalanced(stream)]
     return violations
 
 

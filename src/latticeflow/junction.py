@@ -19,13 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from .capacity import CapacityField, as_fraction, discretize, is_power_of_two
-from .flow import Stream, _incidence, decompose_paths, flow_value, max_flow
+from .flow import Stream, _unbalanced, decompose_paths, flow_value, max_flow
 from .lattice import (
     VERTICAL,
     BoxSpec,
     Edge,
     Point,
-    box_vertices,
     classify_edge,
     edge_ids,
     edges_in_box,
@@ -69,13 +68,9 @@ class DiscreteStream:
         for i, e in enumerate(edges_in_box(box)):
             if e.a[-1] == z_top and e.b[-1] == z_top and g[i] != 0:
                 raise ValueError("edges inside the top face must carry no flow")
-        inc = _incidence(box)
-        for v in box_vertices(box):
-            if v[-1] == z_top:
-                continue
-            net = sum(int(g[i]) * int(orient[i]) * s for i, s in inc[v])
-            if net != 0:
-                raise ValueError(f"stream is unbalanced at {v}")
+        unbalanced = _unbalanced(self.stream)
+        if unbalanced:
+            raise ValueError(f"stream is unbalanced at {unbalanced[0][0]}")
 
     @property
     def box(self) -> BoxSpec:

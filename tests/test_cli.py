@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -315,3 +316,31 @@ def test_sidecar_names_value_solver(tmp_path):
         meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
         assert meta["value_solver"] == solver
         assert solver not in out.read_text()
+
+
+UNIFORM = {"kind": "uniform", "a": 0, "b": 1}
+EXPONENTIAL = {"kind": "exponential", "rate": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, config, digest",
+    [
+        ("flow", {"seed": 21, "distribution": UNIFORM, "n": 6, "height": 5},
+         "a0f93f00c562415aa8ca64b92eb9f607ef87302731872ad87f1736f884f327ef"),
+        ("flow", {"seed": 22, "distribution": {**BERN, "p": "0.5"}, "d": 3, "n": 3, "height": 3},
+         "d68286b22109866c268fe32b4baca268befeff7d39b540e146c3315bcea71b9a"),
+        ("flow", {"seed": 23, "distribution": EXPONENTIAL, "d": 3, "n": 3, "height": 4,
+                  "k_disc": 16},
+         "03e64ca53f9adcd84fd81ee5403aa7e4e93876d9eaac939d09b358fedc2dfac8"),
+        ("tau", {"seed": 24, "distribution": UNIFORM, "n": 5, "k_slab": 3},
+         "f996472d71a388867105b5852dc368f377db9cd4ca561a3bb1db0136a143fcb9"),
+        ("tau", {"seed": 25, "distribution": EXPONENTIAL, "d": 3, "n": 3, "k_slab": 2},
+         "c45fc709d33c6fc2a6b77fb300136fd1a582de0829e829088e7a9077923a8d53"),
+    ],
+)
+def test_certificate_csv_golden(tmp_path, command, config, digest):
+    """The value and cut certificates the ``flow`` and ``tau`` commands print."""
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

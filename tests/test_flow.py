@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_flow import solve_min_cut
 
-from latticeflow import flow
+from latticeflow import cuts, flow, lattice
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
@@ -24,8 +25,8 @@ from latticeflow.flow import (
     flow_value,
     max_flow,
     menger_count,
+    min_cut,
     min_cut_value,
-    solve_min_cut,
     validate_stream,
 )
 from latticeflow.lattice import (
@@ -164,8 +165,6 @@ def test_duality_and_certificates_random():
         assert disconnects(box, res.min_cut.edge_ids)
         assert validate_stream(box, field, res.stream) == []
         assert flow_value(res.stream) == res.value
-        assert face_vertices(box, "bottom") <= res.source_side
-        assert not (face_vertices(box, "top") & res.source_side)
 
 
 def test_monotone_in_capacities():
@@ -329,7 +328,6 @@ def test_solver_is_deterministic():
     assert a.min_cut == b.min_cut
     assert np.array_equal(a.stream.g, b.stream.g)
     assert np.array_equal(a.stream.orient, b.stream.orient)
-    assert a.source_side == b.source_side
 
 
 LAWS = [
@@ -381,20 +379,9 @@ def test_dual_infeasible_pinning_matches_reference():
         i for i, e in enumerate(edges_in_box(box)) if e.a[0] == e.b[0] == 4
     )
     for never in (middle_column, frozenset(range(len(edges_in_box(box))))):
-        with pytest.raises(PinningInfeasibleError):
-            solve_min_cut(box, field, never)
-        with pytest.raises(PinningInfeasibleError):
-            min_cut_value(box, field, never)
-
-
-def test_dual_cache_stays_bounded():
-    cache = flow._dual_adjacency
-    for k in range(1, 9):
-        for h in range(1, 9):
-            box = BoxSpec((k,), h)
-            min_cut_value(box, CapacityField.constant(box, 1))
-    info = cache.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+        for solve in (solve_min_cut, min_cut_value, min_cut):
+            with pytest.raises(PinningInfeasibleError):
+                solve(box, field, never)
 
 
 def value_or_infeasible(solve):
@@ -449,19 +436,85 @@ def test_contracted_infeasible_pinning_matches_reference():
     edges = edges_in_box(box)
     column = frozenset(i for i, e in enumerate(edges) if e.a[:-1] == e.b[:-1] == (3, 0))
     for never in (column, frozenset(range(len(edges)))):
-        with pytest.raises(PinningInfeasibleError):
-            solve_min_cut(box, field, never)
-        with pytest.raises(PinningInfeasibleError):
-            min_cut_value(box, field, never)
+        for solve in (solve_min_cut, min_cut_value, min_cut):
+            with pytest.raises(PinningInfeasibleError):
+                solve(box, field, never)
     # one edge short of a full column leaves a finite cut
     partial = column - {min(column)}
-    assert min_cut_value(box, field, partial) == solve_min_cut(box, field, partial)[0]
+    value, cut = solve_min_cut(box, field, partial)
+    assert min_cut_value(box, field, partial) == value
+    assert min_cut(box, field, partial) == cut
 
 
-def test_contracted_cache_stays_bounded():
-    for k in range(1, 6):
-        for h in range(1, 6):
-            box = BoxSpec((k, 2), h)
-            min_cut_value(box, CapacityField.constant(box, 1))
-    info = flow._contracted.cache_info()
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    sides=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3)),
+    h=st.integers(1, 6),
+    offset=st.tuples(*[st.integers(-5, 5)] * 4),
+    law=st.sampled_from(LAWS),
+    seed=st.integers(0, 2**32),
+    k_disc=st.sampled_from([None, 1, 4, 256]),
+    pinned=st.booleans(),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_certificates_match_reference(d, sides, h, offset, law, seed, k_disc, pinned):
+    """Cuts are the reference's source-side cut; streams are valid maximal flows."""
+    if d == 4:
+        sides = tuple(min(s, 3) for s in sides)
+    if pinned:
+        lo = offset[: d - 1]
+        base = RectSpec(lo, tuple(a + s for a, s in zip(lo, sides)))
+        half = (h + 1) // 2
+        box = base.slab_box(half)
+    else:
+        box = BoxSpec(sides[: d - 1], h, offset[:d])
+    field = sample_field(box, law, R, seed)
+    if k_disc is not None:
+        field = discretize(field, k_disc)
+    if pinned:
+        never = uncuttable_edge_ids(base, half)
+        assert tau_slab(SlabProblem(base, half, field)) == solve_min_cut(box, field, never)
+        return
+    value, cut = solve_min_cut(box, field)
+    res = max_flow(box, field)
+    assert (res.value, res.min_cut) == (value, cut)
+    assert validate_stream(box, field, res.stream) == []
+    assert flow_value(res.stream) == value
+    top = box.z_hi
+    inside_top = [i for i, e in enumerate(edges_in_box(box)) if e.a[-1] == e.b[-1] == top]
+    assert not res.stream.g[inside_top].any()
+
+
+BOUNDED_CACHES = {
+    "lattice.edges_in_box": lattice.edges_in_box,
+    "lattice.edge_ids": lattice.edge_ids,
+    "lattice.box_vertices": lattice.box_vertices,
+    "lattice.inner_boundary_edges": lattice.inner_boundary_edges,
+    "flow._incidence": flow._incidence,
+    "flow._top_vertical_ids": flow._top_vertical_ids,
+    "flow._dual_adjacency": flow._dual_adjacency,
+    "flow._contracted": flow._contracted,
+    "cuts.uncuttable_edge_ids": cuts.uncuttable_edge_ids,
+}
+
+
+@pytest.fixture(scope="module")
+def many_shapes_solved():
+    """Solve more distinct slabs, at distinct offsets, than any cache holds."""
+    for i in range(lattice.GEOMETRY_CACHE_SIZE + 1):
+        d = 2 + i % 2
+        base = RectSpec((i,) * (d - 1), (i + 1 + i // 2 % 4,) * (d - 1))
+        half = 1 + i // 8 % 5
+        field = CapacityField.constant(base.slab_box(half), R)
+        tau_slab(SlabProblem(base, half, field))
+        min_cut_value(field.box, field)
+        res = max_flow(field.box, field)
+        assert validate_stream(field.box, field, res.stream) == []
+        assert flow_value(res.stream) == res.value
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_CACHES))
+def test_cache_stays_bounded(many_shapes_solved, name):
+    info = BOUNDED_CACHES[name].cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert info.misses > info.maxsize  # the shapes did overflow the bound

@@ -216,7 +216,7 @@ class CapacityField:
         if not is_power_of_two(self.resolution):
             raise ValueError("resolution must be a positive power of two")
         caps = np.array(self.caps, dtype=np.int64, copy=True)
-        n = len(edges_in_box(self.box))
+        n = self.box.edge_count
         if caps.shape != (n,):
             raise ValueError(f"expected {n} capacities, got shape {caps.shape}")
         if n and int(caps.min()) < 0:
@@ -227,7 +227,7 @@ class CapacityField:
 
     @classmethod
     def constant(cls, box: BoxSpec, units: int, resolution: int = DEFAULT_RESOLUTION) -> "CapacityField":
-        return cls(box, resolution, np.full(len(edges_in_box(box)), units, dtype=np.int64))
+        return cls(box, resolution, np.full(box.edge_count, units, dtype=np.int64))
 
     def cap_of(self, edge: Edge) -> int:
         return int(self.caps[edge_ids(self.box)[edge]])

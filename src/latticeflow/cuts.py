@@ -13,18 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .capacity import CapacityField
 from .flow import CutSet, min_cut
-from .lattice import (
-    GEOMETRY_CACHE_SIZE,
-    VERTICAL,
-    Edge,
-    RectSpec,
-    classify_edge,
-    edge_ids,
-    edges_in_box,
-    inner_boundary_edges,
-)
+from .lattice import GEOMETRY_CACHE_SIZE, RectSpec, edge_ends, edge_ids, edges_in_box
 
 
 @dataclass(eq=False)
@@ -47,18 +40,20 @@ class SlabProblem:
 def uncuttable_edge_ids(base: RectSpec, half_height: int) -> frozenset[int]:
     """Slab edge ids excluded from cut membership by the pinning condition.
 
-    These are the boundary-to-boundary edges of the cylinder, except the
-    vertical ones spanning heights [0, 1], which stay cuttable so that the
-    flat layer cut is always available.
+    These are the boundary-to-boundary edges of the cylinder (both ends on
+    ``lattice.inner_boundary_edges``' inner boundary), except the vertical
+    ones spanning heights [0, 1], which stay cuttable so that the flat layer
+    cut is always available.
     """
-    box = base.slab_box(half_height)
-    ids = edge_ids(box)
-    bad = set()
-    for e in inner_boundary_edges(base, (-half_height, half_height)):
-        if classify_edge(e) == VERTICAL and e.a[-1] == 0 and e.b[-1] == 1:
-            continue
-        bad.add(ids[e])
-    return frozenset(bad)
+    sides, height = base.sides, 2 * half_height
+    tail, head = edge_ends(sides, height)
+
+    def on_rim(v: np.ndarray) -> np.ndarray:
+        coords = np.unravel_index(v // (height + 1), sides)
+        return np.logical_or.reduce([(c == 0) | (c == k - 1) for c, k in zip(coords, sides)])
+
+    flat = (head == tail + 1) & (tail % (height + 1) == half_height)
+    return frozenset(np.flatnonzero(on_rim(tail) & on_rim(head) & ~flat).tolist())
 
 
 def tau_slab(problem: SlabProblem) -> tuple[int, CutSet]:

@@ -29,7 +29,7 @@ from .capacity import (
 )
 from .cuts import uncuttable_edge_ids
 from .flow import min_cut_value
-from .lattice import BoxSpec, RectSpec, edges_in_box
+from .lattice import BoxSpec, RectSpec
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -254,8 +254,7 @@ def exact_tail_probability(
     if not dist.is_finite:
         raise ValueError("exact enumeration needs a finite-support law")
     lamf = as_fraction(lam)
-    edges = edges_in_box(box)
-    m = len(edges)
+    m = box.edge_count
     s = len(dist.support)
     if s**m > budget:
         raise EnumerationBudgetError(f"{s}**{m} assignments exceed the budget {budget}")

@@ -29,16 +29,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .capacity import CapacityField, CapacityOverflowError
-from .lattice import (
-    GEOMETRY_CACHE_SIZE,
-    BoxSpec,
-    Edge,
-    Point,
-    box_vertices,
-    edge_ids,
-    edges_in_box,
-    face_vertices,
-)
+from .lattice import BoxSpec, Point, edge_ends, edges_in_box, face_vertices, vertex_points
 
 MAX_TOTAL_UNITS = 2**63 - 1
 
@@ -64,7 +55,7 @@ class Stream:
     def __post_init__(self) -> None:
         g = np.array(self.g, dtype=np.int64, copy=True)
         orient = np.array(self.orient, dtype=np.int8, copy=True)
-        n = len(edges_in_box(self.box))
+        n = self.box.edge_count
         if g.shape != (n,) or orient.shape != (n,):
             raise ValueError("stream arrays must have one entry per box edge")
         if n and int(g.min()) < 0:
@@ -78,7 +69,7 @@ class Stream:
 
     @classmethod
     def zero(cls, box: BoxSpec, resolution: int) -> "Stream":
-        n = len(edges_in_box(box))
+        n = box.edge_count
         return cls(box, resolution, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int8))
 
 
@@ -111,6 +102,22 @@ def _check_field(box: BoxSpec, field: CapacityField) -> None:
         raise CapacityOverflowError("total capacity exceeds the 64-bit accumulator")
 
 
+def _grouped(keys: np.ndarray, first: np.ndarray, second: np.ndarray, n: int):
+    """``out[k]`` holds the pairs ``(first[j], second[j])`` with ``keys[j] == k``,
+    in increasing j, for every k < n."""
+    order = np.argsort(keys, kind="stable")
+    pairs = list(zip(first[order].tolist(), second[order].tolist()))
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return tuple(tuple(pairs[lo:hi]) for lo, hi in zip([0] + ends, ends))
+
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[0], y[0], x[1], y[1], ...``"""
+    out = np.empty(2 * len(x), dtype=x.dtype)
+    out[::2], out[1::2] = x, y
+    return out
+
+
 _LEFT, _RIGHT = 0, 1
 
 
@@ -124,29 +131,26 @@ def _dual_adjacency(
     adjacent columns, unit row). Vertical edges join the cells on their two
     sides; horizontal edges below the top face join the cells below and
     above them. Top-row horizontal edges lie inside the contracted sink and
-    never-cut edges may not be crossed, so neither gets a dual edge. Edge
-    ids do not depend on the offset, so the origin box stands for them all.
+    never-cut edges may not be crossed, so neither gets a dual edge. Each
+    node lists its dual edges in edge-id order.
     """
     (k,) = dims
-    box = BoxSpec(dims, height)
+    tail, head = edge_ends(dims, height)
+    col, z = np.divmod(tail, height + 1)
+    vertical = head == tail + 1
+    # a vertical edge in column col separates gaps col - 1 and col in row z;
+    # a horizontal edge at z-index z in gap col separates rows z - 1 and z
+    gap = np.where(vertical, col - 1, col)
+    row = np.where(vertical, z, z - 1)
+    crossable = z < height
+    crossable[list(never_cut)] = False
+    kept = np.flatnonzero(crossable)
 
-    def cell(gap: int, row: int) -> int:
-        if gap < 0:
-            return _LEFT
-        return _RIGHT if gap == k - 1 else 2 + gap * height + row
+    def cell(gap: np.ndarray, row: np.ndarray) -> np.ndarray:
+        return np.where(gap < 0, _LEFT, np.where(gap == k - 1, _RIGHT, 2 + gap * height + row))
 
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(2 + (k - 1) * height)]
-    for i, e in enumerate(edges_in_box(box)):
-        (x, z), (x2, _) = e.a, e.b
-        if i in never_cut or z == height:
-            continue
-        if x == x2:  # vertical, in column x - 1 and row z
-            u, v = cell(x - 2, z), cell(x - 1, z)
-        else:  # horizontal at height z, in gap x - 1
-            u, v = cell(x - 1, z - 1), cell(x - 1, z)
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    return tuple(tuple(a) for a in adj)
+    u, v = cell(gap[kept], row[kept]), cell(col[kept], z[kept])
+    return _grouped(_interleave(u, v), _interleave(v, u), np.repeat(kept, 2), 2 + (k - 1) * height)
 
 
 def _dual_value(box: BoxSpec, field: CapacityField, never_cut: frozenset[int]) -> int:
@@ -178,22 +182,21 @@ def _contracted(
 ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], np.ndarray]:
     """The box graph with its uncuttable parts merged, as ``(nbrs, arc_edge)``.
 
-    A union-find joins every bottom-face vertex into the source, every
-    top-face vertex into the sink and the two ends of every never-cut edge.
-    Nodes are the classes, the source first and the sink second. An edge
-    inside one class drops out; any other becomes two opposite arcs, listed
-    as ``nbrs[tail] = ((arc, head), ...)``, with ``arc_edge[arc]`` its edge
-    id. Arcs ``a`` and ``a ^ 1`` are reverses, and each even arc runs from
-    the class of its edge's low end ``e.a`` to that of ``e.b``. The origin
-    box stands for every offset, as edge ids do not depend on it.
+    A union-find over the ``edge_ends`` vertices joins every bottom-face
+    vertex into the source, every top-face vertex into the sink and the two
+    ends of every never-cut edge. Nodes are the classes, the source first
+    and the sink second. An edge inside one class drops out; any other
+    becomes two opposite arcs, listed in arc order as
+    ``nbrs[tail] = ((arc, head), ...)``, with ``arc_edge[arc]`` its edge id.
+    Arcs ``a`` and ``a ^ 1`` are reverses, each even arc runs from the class
+    of its edge's tail to that of its head, and arcs follow edge-id order.
     """
-    box = BoxSpec(dims, height)
-    index: dict[Point, int] = {}
-    ends = [
-        (index.setdefault(e.a, len(index)), index.setdefault(e.b, len(index)))
-        for e in edges_in_box(box)
-    ]
-    parent = list(range(len(index)))
+    tail, head = edge_ends(dims, height)
+    levels = height + 1
+    parent = np.arange(math.prod(dims) * levels)
+    parent[::levels] = 0  # vertex 0 is on the bottom face
+    parent[height::levels] = height  # and vertex ``height`` on the top face
+    parent = parent.tolist()
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -201,41 +204,33 @@ def _contracted(
             v = parent[v]
         return v
 
-    bottom = [index[p] for p in face_vertices(box, "bottom")]
-    top = [index[p] for p in face_vertices(box, "top")]
-    for face in (bottom, top):
-        for v in face:
-            parent[v] = face[0]
-    for e in never_cut:
-        u, v = ends[e]
+    never = list(never_cut)
+    for u, v in zip(tail[never].tolist(), head[never].tolist()):
         parent[find(u)] = find(v)
-    root = [find(v) for v in range(len(index))]
-    label = {root[bottom[0]]: _SOURCE}
-    if label.setdefault(root[top[0]], _SINK) != _SINK:
+    root = [find(v) for v in range(len(parent))]
+    label = {root[0]: _SOURCE}
+    if label.setdefault(root[height], _SINK) != _SINK:
         raise PinningInfeasibleError("never-cut edges join bottom to top: no finite cut exists")
     for r in root:
         label.setdefault(r, len(label))
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in label]
-    arc_edge: list[int] = []
-    for e, (u, v) in enumerate(ends):
-        u, v = label[root[u]], label[root[v]]
-        if u != v:
-            nbrs[u].append((len(arc_edge), v))
-            nbrs[v].append((len(arc_edge) + 1, u))
-            arc_edge += (e, e)
-    arcs = np.array(arc_edge, dtype=np.intp)
+    node = np.array([label[r] for r in root])
+    u, v = node[tail], node[head]
+    kept = np.flatnonzero(u != v)
+    u, v = u[kept], v[kept]
+    nbrs = _grouped(_interleave(u, v), np.arange(2 * len(kept)), _interleave(v, u), len(label))
+    arcs = np.repeat(kept, 2)
     arcs.setflags(write=False)
-    return tuple(tuple(a) for a in nbrs), arcs
+    return nbrs, arcs
 
 
 def _contracted_flow(
     box: BoxSpec, field: CapacityField, never_cut: frozenset[int]
-) -> tuple[int, list[int]]:
+) -> tuple[int, list[int], tuple]:
     """Dinic on the contracted graph, whose arcs are all finite.
 
-    Returns the maximal flow value and the residual capacity of every arc
-    of ``_contracted``; arc ``a`` then carries ``(cap[a ^ 1] - cap[a]) // 2``
-    units along its direction.
+    Returns the maximal flow value, the residual capacity of every arc and
+    the ``_contracted`` graph ``(nbrs, arc_edge)`` they belong to; arc ``a``
+    then carries ``(cap[a ^ 1] - cap[a]) // 2`` units along its direction.
 
     Each phase labels nodes by residual distance to the sink, with a
     breadth-first search from the sink that stops at the source's level, so
@@ -243,7 +238,8 @@ def _contracted_flow(
     closer to the sink. After each augmentation the search resumes from the
     tail of the first arc it saturated rather than from the source.
     """
-    nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
+    graph = _contracted(box.dims, box.height, never_cut)
+    nbrs, arc_edge = graph
     cap = field.caps[arc_edge].tolist()
     n = len(nbrs)
     value = 0
@@ -260,7 +256,7 @@ def _contracted_flow(
                         found.append(v)
             frontier = found
         if dist[_SOURCE] < 0:
-            return value, cap
+            return value, cap, graph
         it = [0] * n
         verts = [_SOURCE]
         path: list[int] = []  # path[j] is the arc out of verts[j]
@@ -319,8 +315,9 @@ def min_cut_value(
 
 def _flow_and_cut(
     box: BoxSpec, field: CapacityField, never_cut: frozenset[int]
-) -> tuple[list[int], CutSet]:
-    """Residual arc capacities of a maximal flow, and its source-side cut.
+) -> tuple[list[int], np.ndarray, CutSet]:
+    """Residual arc capacities of a maximal flow, the edge of each arc, and
+    the flow's source-side cut.
 
     The cut is every edge from a class the residual graph reaches from the
     source to one it does not. That reachable set is the same for every
@@ -328,8 +325,7 @@ def _flow_and_cut(
     with the smallest source side whichever flow Dinic found.
     """
     _check_field(box, field)
-    value, cap = _contracted_flow(box, field, never_cut)
-    nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
+    value, cap, (nbrs, arc_edge) = _contracted_flow(box, field, never_cut)
     reached = [False] * len(nbrs)
     reached[_SOURCE] = True
     todo = [_SOURCE]
@@ -349,7 +345,7 @@ def _flow_and_cut(
     weight = sum(caps[e] for e in cut_ids)
     if weight != value:
         raise RuntimeError("internal solver error: cut weight differs from flow value")
-    return cap, CutSet(cut_ids, weight)
+    return cap, arc_edge, CutSet(cut_ids, weight)
 
 
 def min_cut(
@@ -360,7 +356,7 @@ def min_cut(
     Its weight is the maximal flow value. Raises PinningInfeasibleError when
     the never-cut edges join bottom to top.
     """
-    return _flow_and_cut(box, field, never_cut)[1]
+    return _flow_and_cut(box, field, never_cut)[2]
 
 
 def max_flow(box: BoxSpec, field: CapacityField) -> MaxFlowResult:
@@ -368,19 +364,11 @@ def max_flow(box: BoxSpec, field: CapacityField) -> MaxFlowResult:
 
     Edges inside a contracted face carry no flow.
     """
-    cap, cut = _flow_and_cut(box, field, frozenset())
-    arc_edge = _contracted(box.dims, box.height, frozenset())[1]
+    cap, arc_edge, cut = _flow_and_cut(box, field, frozenset())
     flow = np.zeros(box.edge_count, dtype=np.int64)
     flow[arc_edge[::2]] = [(cap[a + 1] - cap[a]) // 2 for a in range(0, len(cap), 2)]
     stream = Stream(box, field.resolution, np.abs(flow), np.where(flow < 0, -1, 1))
     return MaxFlowResult(cut.weight, stream, cut)
-
-
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _top_vertical_ids(box: BoxSpec) -> tuple[int, ...]:
-    ids = edge_ids(box)
-    z = box.z_hi
-    return tuple(ids[Edge(base + (z - 1,), base + (z,))] for base in box.base_points())
 
 
 def flow_value(stream: Stream) -> int:
@@ -389,49 +377,36 @@ def flow_value(stream: Stream) -> int:
     This is the signed sum over the top layer of vertical edges, which for
     height 1 boxes reads the same edges the fluid entered through.
     """
-    g = stream.g
-    o = stream.orient
-    return int(sum(int(g[e]) * int(o[e]) for e in _top_vertical_ids(stream.box)))
-
-
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _incidence(box: BoxSpec) -> dict[Point, tuple[tuple[int, int], ...]]:
-    inc: dict[Point, list[tuple[int, int]]] = defaultdict(list)
-    for i, e in enumerate(edges_in_box(box)):
-        inc[e.a].append((i, 1))
-        inc[e.b].append((i, -1))
-    return {p: tuple(v) for p, v in inc.items()}
+    height = stream.box.height
+    tail, head = edge_ends(stream.box.dims, height)
+    top = np.flatnonzero((head == tail + 1) & (head % (height + 1) == height))
+    return sum(g * o for g, o in zip(stream.g[top].tolist(), stream.orient[top].tolist()))
 
 
 def _unbalanced(stream: Stream) -> list[tuple[Point, int]]:
     """``(vertex, net outflow)`` at every box vertex below the top face where
     the stream does not balance; the bottom face feeds the box and the top
-    face drains it, so neither is constrained."""
-    g = stream.g.tolist()
-    orient = stream.orient.tolist()
-    inc = _incidence(stream.box)
-    z_top = stream.box.z_hi
-    out = []
-    for v in box_vertices(stream.box):
-        if v[-1] == z_top:
-            continue
-        net = sum(g[i] * orient[i] * sign for i, sign in inc[v])
-        if net != 0:
-            out.append((v, net))
-    return out
+    face drains it, so neither is constrained. Sums run on Python ints."""
+    box = stream.box
+    tail, head = edge_ends(box.dims, box.height)
+    levels = box.height + 1
+    net = [0] * (box.base_area * levels)
+    for t, h, g, o in zip(tail.tolist(), head.tolist(), stream.g.tolist(), stream.orient.tolist()):
+        net[t] += g * o
+        net[h] -= g * o
+    bad = [v for v, x in enumerate(net) if x and 0 < v % levels < box.height]
+    points = vertex_points(box) if bad else []
+    return [(points[v], net[v]) for v in bad]
 
 
 def validate_stream(box: BoxSpec, field: CapacityField, stream: Stream) -> list[Violation]:
     """Every capacity violation and every unbalanced vertex below the top face."""
     if field.box != box or stream.box != box:
         raise ValueError("box, field and stream shapes must match")
-    violations: list[Violation] = []
-    edges = edges_in_box(box)
-    caps = field.caps
-    for i, e in enumerate(edges):
-        excess = int(stream.g[i]) - int(caps[i])
-        if excess > 0:
-            violations.append(Violation("capacity", e, excess))
+    violations = [
+        Violation("capacity", edges_in_box(box)[i], int(stream.g[i]) - int(field.caps[i]))
+        for i in np.flatnonzero(stream.g > field.caps).tolist()
+    ]
     violations += [Violation("balance", v, net) for v, net in _unbalanced(stream)]
     return violations
 

@@ -152,7 +152,7 @@ def check_menger(seed: int, trials: int = 40) -> PropertyResult:
     r = DEFAULT_RESOLUTION
     bad = 0
     for t in range(trials):
-        u = edge_uniforms(derive_seed(seed, t), len(edges_in_box(box)))
+        u = edge_uniforms(derive_seed(seed, t), box.edge_count)
         caps = np.where(u < 0.5, r, 0).astype(np.int64)
         field = CapacityField(box, r, caps)
         open_ids = frozenset(i for i, c in enumerate(caps.tolist()) if c)
@@ -221,7 +221,7 @@ def check_junction(seed: int, trials: int = 20) -> PropertyResult:
             f1 = sample_field(box, dist, r, derive_seed(seed, t))
         else:
             # fat column: one column wide open, everything else shut
-            caps = np.zeros(len(edges_in_box(box)), dtype=np.int64)
+            caps = np.zeros(box.edge_count, dtype=np.int64)
             col = int(rng.integers(1, n + 1))
             for i, e in enumerate(edges_in_box(box)):
                 if e.axis == 1 and e.a[0] == col:

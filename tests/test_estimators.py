@@ -14,7 +14,7 @@ from latticeflow.capacity import (
     sample_field,
     unit_count,
 )
-from latticeflow import estimators
+from latticeflow import cuts, estimators, flow, lattice
 from latticeflow.cuts import SlabProblem, tau_slab
 from latticeflow.estimators import (
     EnumerationBudgetError,
@@ -130,6 +130,20 @@ def test_psi_sweep_is_independent_of_sampling_blocks(monkeypatch, count):
     for workers in (1, 2):
         sweep = estimate_psi_sweep(dist, lams, 2, 3, k_disc, count, seed=34, workers=workers)
         assert [e.hits for e in sweep] == expected
+
+
+def test_estimators_build_no_edges(monkeypatch):
+    """The psi and nu replicas run on index arrays, not on ``Edge`` objects."""
+
+    def no_edge(self):
+        raise AssertionError("an Edge was built")
+
+    for cache in (lattice.edges_in_box, cuts.uncuttable_edge_ids, flow._dual_adjacency, flow._contracted):
+        cache.cache_clear()
+    monkeypatch.setattr(lattice.Edge, "__post_init__", no_edge)
+    estimate_psi_sweep(DistributionSpec.uniform(0, 1), [0.2, 0.4], 3, 4, 2**10, 20, seed=35)
+    estimate_nu(DistributionSpec.exponential(1.0), 3, 2, 20, seed=35, d=3, workers=1)
+    assert lattice.edges_in_box.cache_info().misses == 0
 
 
 def test_psi_lambda_zero_always_hits():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_flow import solve_min_cut
+from reference_lattice import box_vertices
 
 from latticeflow import cuts, flow, lattice
 from latticeflow.capacity import (
@@ -33,7 +34,6 @@ from latticeflow.lattice import (
     BoxSpec,
     Edge,
     RectSpec,
-    box_vertices,
     edge_ids,
     edges_in_box,
     face_vertices,
@@ -219,6 +219,23 @@ def test_validate_stream_reports_single_violations():
     assert len(bal) == 1
     assert bal[0].where == (1, 2)
     assert bal[0].amount == R // 4
+
+
+def test_balance_sums_are_exact_past_int64():
+    box = BoxSpec((2,), 2)
+    ids = edge_ids(box)
+    big = 2**62 + 1
+    g = np.zeros(len(ids), dtype=np.int64)
+    orient = np.ones(len(ids), dtype=np.int8)
+    g[ids[Edge((1, 0), (1, 1))]] = big  # up into (1, 1)
+    g[ids[Edge((1, 1), (2, 1))]] = big
+    orient[ids[Edge((1, 1), (2, 1))]] = -1  # from (2, 1) into (1, 1)
+    stream = Stream(box, R, g, orient)
+    field = CapacityField.constant(box, big)
+    assert [(v.kind, v.where, v.amount) for v in validate_stream(box, field, stream)] == [
+        ("balance", (1, 1), -2 * big),
+        ("balance", (2, 1), big),
+    ]
 
 
 def test_decompose_unit_column():
@@ -486,12 +503,10 @@ def test_certificates_match_reference(d, sides, h, offset, law, seed, k_disc, pi
 
 
 BOUNDED_CACHES = {
+    "lattice.edge_ends": lattice.edge_ends,
     "lattice.edges_in_box": lattice.edges_in_box,
     "lattice.edge_ids": lattice.edge_ids,
-    "lattice.box_vertices": lattice.box_vertices,
     "lattice.inner_boundary_edges": lattice.inner_boundary_edges,
-    "flow._incidence": flow._incidence,
-    "flow._top_vertical_ids": flow._top_vertical_ids,
     "flow._dual_adjacency": flow._dual_adjacency,
     "flow._contracted": flow._contracted,
     "cuts.uncuttable_edge_ids": cuts.uncuttable_edge_ids,
@@ -500,17 +515,21 @@ BOUNDED_CACHES = {
 
 @pytest.fixture(scope="module")
 def many_shapes_solved():
-    """Solve more distinct slabs, at distinct offsets, than any cache holds."""
+    """Solve, and build the ``Edge`` views of, more distinct slab shapes, at
+    distinct offsets, than any cache holds."""
     for i in range(lattice.GEOMETRY_CACHE_SIZE + 1):
-        d = 2 + i % 2
-        base = RectSpec((i,) * (d - 1), (i + 1 + i // 2 % 4,) * (d - 1))
-        half = 1 + i // 8 % 5
+        d, j = 2 + i % 2, i // 2
+        sides = (1 + j % 16,) if d == 2 else (1 + j % 4, 1 + j // 4 % 4)
+        base = RectSpec((i,) * (d - 1), tuple(i + s for s in sides))
+        half = 1 + j // 16
         field = CapacityField.constant(base.slab_box(half), R)
         tau_slab(SlabProblem(base, half, field))
         min_cut_value(field.box, field)
         res = max_flow(field.box, field)
         assert validate_stream(field.box, field, res.stream) == []
         assert flow_value(res.stream) == res.value
+        lattice.edge_ids(field.box)
+        lattice.inner_boundary_edges(base, (-half, half))
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDED_CACHES))

@@ -1,17 +1,20 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_lattice import sorted_edges_in_box
 
+from latticeflow.cuts import uncuttable_edge_ids
 from latticeflow.lattice import (
     HORIZONTAL,
     VERTICAL,
     BoxSpec,
     Edge,
     RectSpec,
-    box_vertices,
     classify_edge,
+    edge_ends,
     edge_ids,
     edges_in_box,
     face_vertices,
@@ -100,6 +103,38 @@ def test_edge_ids_are_lexicographic_and_dense():
     assert sorted(edge_ids(box).values()) == list(range(len(edges)))
 
 
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+    height=st.integers(1, 6),
+    offset=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_index_numbering_matches_sorted_enumeration(dims, height, offset):
+    box = BoxSpec(dims, height, tuple(offset[: len(dims) + 1]))
+    edges = edges_in_box(box)
+    assert edges == sorted_edges_in_box(box)
+    # the documented vertex rule: z-index v % (height + 1), base index v // (height + 1)
+    tail, head = edge_ends(dims, height)
+
+    def point(v):
+        base = np.unravel_index(v // (height + 1), dims)
+        return tuple(o + 1 + int(c) for o, c in zip(box.offset, base)) + (box.z_lo + v % (height + 1),)
+
+    assert [(point(t), point(h)) for t, h in zip(tail.tolist(), head.tolist())] == [
+        (e.a, e.b) for e in edges
+    ]
+    # the pinned set read off the index arrays equals the Edge-based definition
+    rect = RectSpec(box.offset[:-1], tuple(o + k for o, k in zip(box.offset, dims)))
+    half = -(-height // 2)
+    ids = edge_ids(rect.slab_box(half))
+    expected = {
+        ids[e]
+        for e in inner_boundary_edges(rect, (-half, half))
+        if not (classify_edge(e) == VERTICAL and e.a[-1] == 0)
+    }
+    assert uncuttable_edge_ids(rect, half) == frozenset(expected)
+
+
 @pytest.mark.parametrize(
     "box", [BoxSpec((1,), 1), BoxSpec((5,), 3), BoxSpec((2, 3), 4, (1, -2, 7)), BoxSpec((3, 1, 2), 2)]
 )
@@ -127,7 +162,9 @@ def test_face_counts(dims, height):
     for k in dims:
         area *= k
     assert len(face_vertices(box, "bottom")) == len(face_vertices(box, "top")) == area
-    assert len(box_vertices(box)) == area * height
+    # every vertex index, faces included, is the end of some edge
+    tail, head = edge_ends(dims, height)
+    assert np.union1d(tail, head).tolist() == list(range(area * (height + 1)))
 
 
 @given(

@@ -66,5 +66,4 @@ from .lattice import (
     classify_edge,
     edges_in_box,
     face_vertices,
-    inner_boundary_edges,
 )

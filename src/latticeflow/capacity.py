@@ -23,7 +23,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .lattice import BoxSpec, Edge, edge_ids, edges_in_box
+from .lattice import BoxSpec, edge_map, edges_in_box
 
 DEFAULT_RESOLUTION = 2**20
 
@@ -229,17 +229,13 @@ class CapacityField:
     def constant(cls, box: BoxSpec, units: int, resolution: int = DEFAULT_RESOLUTION) -> "CapacityField":
         return cls(box, resolution, np.full(box.edge_count, units, dtype=np.int64))
 
-    def cap_of(self, edge: Edge) -> int:
-        return int(self.caps[edge_ids(self.box)[edge]])
-
     def restrict_to(self, sub: BoxSpec) -> "CapacityField":
         """Same capacities on a smaller box; every sub-box edge must be covered."""
-        ids = edge_ids(self.box)
-        try:
-            caps = [int(self.caps[ids[e]]) for e in edges_in_box(sub)]
-        except KeyError as missing:
-            raise ValueError(f"edge {missing} of the sub-box is not covered") from None
-        return CapacityField(sub, self.resolution, np.array(caps, dtype=np.int64))
+        ids = edge_map(sub, self.box)
+        missing = np.flatnonzero(ids < 0)
+        if len(missing):
+            raise ValueError(f"edge {edges_in_box(sub)[missing[0]]} of the sub-box is not covered")
+        return CapacityField(sub, self.resolution, self.caps[ids])
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).

@@ -217,6 +217,13 @@ def _parse(parse, value):
         raise ConfigError(f"bad value {value!r}: {err}") from None
 
 
+def _lam(value) -> Fraction:
+    lam = _parse(as_fraction, value)
+    if lam < 0:
+        raise ConfigError(f"lam must be non-negative, got {value!r}")
+    return lam
+
+
 def _box(config) -> BoxSpec:
     d = config.get("d", 2)
     return BoxSpec((config["n"],) * (d - 1), config["height"])
@@ -313,7 +320,7 @@ def _run_psi(config, workers):
     n = config["n"]
     h = _resolve_height(config["height"], n)
     k_disc = _k_disc(config, r)
-    lams = [_parse(as_fraction, l) for l in config["lambdas"]]
+    lams = [_lam(l) for l in config["lambdas"]]
     estimates = estimate_psi_sweep(
         dist, lams, n, h, k_disc, config["samples"], config["seed"],
         d=d, resolution=r, workers=workers,
@@ -334,10 +341,12 @@ def _run_psi(config, workers):
 
 def _run_oracle(config, workers):
     dist = _parse(DistributionSpec.from_json, config["distribution"])
+    if not dist.is_finite:
+        raise ConfigError("oracle needs a finite law: bernoulli or finite_discrete")
     d = config.get("d", 2)
     r = _resolution(config)
-    box = BoxSpec((config["n"],) * (d - 1), config["height"])
-    lam = _parse(as_fraction, config["lam"])
+    box = _box(config)
+    lam = _lam(config["lam"])
     prob = exact_tail_probability(
         dist, box, lam,
         resolution=r, budget=config.get("budget", 2**24),

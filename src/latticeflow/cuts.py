@@ -17,7 +17,7 @@ import numpy as np
 
 from .capacity import CapacityField
 from .flow import CutSet, min_cut
-from .lattice import GEOMETRY_CACHE_SIZE, RectSpec, edge_ends, edge_ids, edges_in_box
+from .lattice import GEOMETRY_CACHE_SIZE, RectSpec, edge_ends, edge_map
 
 
 @dataclass(eq=False)
@@ -41,9 +41,9 @@ def uncuttable_edge_ids(base: RectSpec, half_height: int) -> frozenset[int]:
     """Slab edge ids excluded from cut membership by the pinning condition.
 
     These are the boundary-to-boundary edges of the cylinder (both ends on
-    ``lattice.inner_boundary_edges``' inner boundary), except the vertical
-    ones spanning heights [0, 1], which stay cuttable so that the flat layer
-    cut is always available.
+    the inner boundary of ``tests/reference_lattice.inner_boundary_edges``),
+    except the vertical ones spanning heights [0, 1], which stay cuttable so
+    that the flat layer cut is always available.
     """
     sides, height = base.sides, 2 * half_height
     tail, head = edge_ends(sides, height)
@@ -125,12 +125,9 @@ def check_subadditivity(
         parts.append(tau_slab(SlabProblem(rect, half_height, sub)))
     (tau_l, cut_l), (tau_r, cut_r) = parts
 
-    union_ids = edge_ids(union_box)
     glued = set()
     for rect, cut in ((left, cut_l), (right, cut_r)):
-        sub_edges = edges_in_box(rect.slab_box(half_height))
-        for e in cut.edge_ids:
-            glued.add(union_ids[sub_edges[e]])
+        glued.update(edge_map(rect.slab_box(half_height), union_box)[list(cut.edge_ids)].tolist())
     glued_cut = CutSet(frozenset(glued), tau_l + tau_r)
 
     report = SubadditivityReport(tau_u, tau_l, tau_r, cut_l, cut_r, glued_cut)

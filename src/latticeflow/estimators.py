@@ -254,6 +254,8 @@ def exact_tail_probability(
     if not dist.is_finite:
         raise ValueError("exact enumeration needs a finite-support law")
     lamf = as_fraction(lam)
+    if lamf < 0:
+        raise ValueError("lam must be non-negative")
     m = box.edge_count
     s = len(dist.support)
     if s**m > budget:

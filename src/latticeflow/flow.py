@@ -21,7 +21,6 @@ cut problems are expressed without resorting to large sentinel numbers.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -29,7 +28,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .capacity import CapacityField, CapacityOverflowError
-from .lattice import BoxSpec, Point, edge_ends, edges_in_box, face_vertices, vertex_points
+from .lattice import BoxSpec, Point, edge_ends, edges_in_box, vertex_points
 
 MAX_TOTAL_UNITS = 2**63 - 1
 
@@ -432,24 +431,25 @@ def decompose_paths(box: BoxSpec, stream: Stream, k: int) -> list[tuple[Point, .
     n_paths = (total * k) // stream.resolution
 
     units = [x // step for x in g]
-    out: dict[Point, list[tuple[int, Point]]] = defaultdict(list)
-    for i, e in enumerate(edges_in_box(box)):
-        tail, head = (e.a, e.b) if stream.orient[i] > 0 else (e.b, e.a)
-        out[tail].append((i, head))
-    ptr: dict[Point, int] = defaultdict(int)
-    top = face_vertices(box, "top")
+    levels = box.height + 1
+    n_vertices = box.base_area * levels
+    tail, head = edge_ends(box.dims, box.height)
+    back = stream.orient < 0
+    out = _grouped(np.where(back, head, tail), np.arange(len(g)), np.where(back, tail, head), n_vertices)
+    ptr = [0] * n_vertices
+    points = vertex_points(box)
 
-    def next_step(v: Point) -> tuple[int, Point]:
+    def next_step(v: int) -> tuple[int, int]:
         arcs = out[v]
         while ptr[v] < len(arcs):
-            i, head = arcs[ptr[v]]
+            i, w = arcs[ptr[v]]
             if units[i] > 0:
-                return i, head
+                return i, w
             ptr[v] += 1  # exhausted arcs never refill
-        raise RuntimeError("internal decomposition error: imbalance at " + repr(v))
+        raise RuntimeError("internal decomposition error: imbalance at " + repr(points[v]))
 
-    bottoms = sorted(face_vertices(box, "bottom"))
-    paths: list[tuple[Point, ...]] = []
+    bottoms = range(0, n_vertices, levels)
+    paths: list[list[int]] = []
     b = 0
     for _ in range(n_paths):
         while b < len(bottoms) and all(units[i] == 0 for i, _ in out[bottoms[b]]):
@@ -459,21 +459,20 @@ def decompose_paths(box: BoxSpec, stream: Stream, k: int) -> list[tuple[Point, .
         v = bottoms[b]
         path = [v]
         pos = {v: 0}
-        while v not in top:
-            i, head = next_step(v)
+        while v % levels != box.height:
+            i, w = next_step(v)
             units[i] -= 1
-            if head in pos:
+            if w in pos:
                 # loop closed: drop its units and resume from the repeat point
-                for p in path[pos[head] + 1 :]:
+                for p in path[pos[w] + 1 :]:
                     del pos[p]
-                del path[pos[head] + 1 :]
-                v = head
+                del path[pos[w] + 1 :]
             else:
-                path.append(head)
-                pos[head] = len(path) - 1
-                v = head
-        paths.append(tuple(path))
-    return paths
+                path.append(w)
+                pos[w] = len(path) - 1
+            v = w
+        paths.append(path)
+    return [tuple(points[v] for v in path) for path in paths]
 
 
 def menger_count(box: BoxSpec, field: CapacityField) -> int:

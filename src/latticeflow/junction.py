@@ -20,15 +20,7 @@ import numpy as np
 
 from .capacity import CapacityField, as_fraction, discretize, is_power_of_two
 from .flow import Stream, _unbalanced, decompose_paths, flow_value, max_flow
-from .lattice import (
-    VERTICAL,
-    BoxSpec,
-    Edge,
-    Point,
-    classify_edge,
-    edge_ids,
-    edges_in_box,
-)
+from .lattice import BoxSpec, edge_ends, edge_index, edge_map
 
 
 class JunctionHypothesisError(ValueError):
@@ -54,20 +46,14 @@ class DiscreteStream:
             raise ValueError("level must be a power of two dividing the resolution")
         step = self.stream.resolution // self.level
         box = self.stream.box
-        g = self.stream.g
-        orient = self.stream.orient
-        ids = edge_ids(box)
-        if any(int(x) % step for x in g.tolist()):
+        if any(int(x) % step for x in self.stream.g.tolist()):
             raise ValueError(f"amounts are not multiples of 1/{self.level}")
-        for base in box.base_points():
-            bottom = ids[Edge(base + (box.z_lo,), base + (box.z_lo + 1,))]
-            top = ids[Edge(base + (box.z_hi - 1,), base + (box.z_hi,))]
-            if orient[bottom] != 1 or orient[top] != 1:
-                raise ValueError("face edges must be oriented bottom-up")
-        z_top = box.z_hi
-        for i, e in enumerate(edges_in_box(box)):
-            if e.a[-1] == z_top and e.b[-1] == z_top and g[i] != 0:
-                raise ValueError("edges inside the top face must carry no flow")
+        faces = np.concatenate([_vertical_layer(box, box.z_lo), _vertical_layer(box, box.z_hi - 1)])
+        if (self.stream.orient[faces] != 1).any():
+            raise ValueError("face edges must be oriented bottom-up")
+        tail = edge_ends(box.dims, box.height)[0]  # only top-face edges start on the top face
+        if self.stream.g[tail % (box.height + 1) == box.height].any():
+            raise ValueError("edges inside the top face must carry no flow")
         unbalanced = _unbalanced(self.stream)
         if unbalanced:
             raise ValueError(f"stream is unbalanced at {unbalanced[0][0]}")
@@ -103,19 +89,21 @@ class BoundaryCondition:
         return BoundaryCondition(self.pi2, self.pi1, self.lam, self.n, self.level)
 
 
-def _stream_from_paths(
-    box: BoxSpec, paths, unit: int, resolution: int
-) -> Stream:
+def _vertical_layer(box: BoxSpec, layer: int) -> np.ndarray:
+    """Ids of the vertical edges through [layer, layer + 1], in base-point order."""
+    tail, head = edge_ends(box.dims, box.height)
+    return np.flatnonzero((head == tail + 1) & (tail % (box.height + 1) == layer - box.z_lo))
+
+
+def _stream_from_paths(box: BoxSpec, paths, unit: int, resolution: int) -> Stream:
     """Rebuild a stream from unit paths, each traversal carrying ``unit``."""
-    ids = edge_ids(box)
-    net = [0] * len(ids)
-    for path in paths:
-        for u, w in itertools.pairwise(path):
-            e = Edge(u, w)
-            net[ids[e]] += unit if (u, w) == (e.a, e.b) else -unit
-    g = np.array([abs(x) for x in net], dtype=np.int64)
-    orient = np.array([1 if x >= 0 else -1 for x in net], dtype=np.int8)
-    return Stream(box, resolution, g, orient)
+    steps = [step for path in paths for step in itertools.pairwise(path)]
+    corner = np.add(box.offset, (1,) * (box.d - 1) + (0,))  # the point of vertex 0
+    coords = np.array(steps, dtype=np.int64).reshape(-1, 2, box.d) - corner
+    u, w = np.ravel_multi_index(np.moveaxis(coords, -1, 0), box.dims + (box.height + 1,)).T
+    net = np.zeros(box.edge_count, dtype=np.int64)
+    np.add.at(net, edge_index(box, np.minimum(u, w), np.maximum(u, w)), np.where(u < w, unit, -unit))
+    return Stream(box, resolution, np.abs(net), np.where(net < 0, -1, 1))
 
 
 def discrete_max_flow_stream(box: BoxSpec, field: CapacityField, level: int) -> DiscreteStream:
@@ -146,12 +134,7 @@ def truncated_projection(ds: DiscreteStream, layer: int, lam, n: int) -> tuple[i
     if not box.z_lo <= layer < box.z_hi:
         raise ValueError("layer outside the box")
     cap = _cap_units(lamf, n, box.d, ds.resolution)
-    ids = edge_ids(box)
-    g = ds.g
-    return tuple(
-        min(int(g[ids[Edge(base + (layer,), base + (layer + 1,))]]), cap)
-        for base in box.base_points()
-    )
+    return tuple(min(x, cap) for x in ds.g[_vertical_layer(box, layer)].tolist())
 
 
 def boundary_condition(ds: DiscreteStream, lam, n: int) -> BoundaryCondition:
@@ -186,8 +169,12 @@ def translate_field(field: CapacityField, dz: int) -> CapacityField:
     return CapacityField(box, field.resolution, field.caps)
 
 
-def _flip_point(box: BoxSpec, p: Point) -> Point:
-    return p[:-1] + (box.z_lo + box.z_hi - p[-1],)
+def _mirror(box: BoxSpec) -> np.ndarray:
+    """The id of each edge's mirror image about the mid-height plane, -1 for
+    the edges inside the top face, whose images would lie in the bottom one."""
+    levels = box.height + 1
+    tail, head = (v + box.height - 2 * (v % levels) for v in edge_ends(box.dims, box.height))
+    return edge_index(box, np.minimum(tail, head), np.maximum(tail, head))
 
 
 def flip_vertical_field(field: CapacityField) -> CapacityField:
@@ -198,15 +185,11 @@ def flip_vertical_field(field: CapacityField) -> CapacityField:
     Discrete streams never use them, so the mirror of a feasible discrete
     stream stays feasible for the mirrored field.
     """
-    box = field.box
-    ids = edge_ids(box)
+    mirror = _mirror(field.box)
+    kept = mirror >= 0
     caps = np.array(field.caps, copy=True)
-    for i, e in enumerate(edges_in_box(box)):
-        mirrored = Edge(_flip_point(box, e.a), _flip_point(box, e.b))
-        j = ids.get(mirrored)
-        if j is not None:
-            caps[j] = field.caps[i]
-    return CapacityField(box, field.resolution, caps)
+    caps[mirror[kept]] = field.caps[kept]
+    return CapacityField(field.box, field.resolution, caps)
 
 
 def flip_vertical(ds: DiscreteStream) -> DiscreteStream:
@@ -216,23 +199,17 @@ def flip_vertical(ds: DiscreteStream) -> DiscreteStream:
     boundary condition is the swap of the original one.
     """
     box = ds.box
-    ids = edge_ids(box)
+    mirror = _mirror(box)
+    kept = mirror >= 0
+    if ds.g[~kept].any():
+        raise ValueError("flow on a top-face edge has no mirror image")
+    tail, head = edge_ends(box.dims, box.height)
+    # the fluid reverses on every edge, and a vertical edge's ends swap as well
+    flipped = np.where(head == tail + 1, ds.orient, -ds.orient)
     g = np.zeros_like(ds.g)
     orient = np.ones_like(ds.orient)
-    for i, e in enumerate(edges_in_box(box)):
-        mirrored = Edge(_flip_point(box, e.a), _flip_point(box, e.b))
-        j = ids.get(mirrored)
-        if j is None:
-            if ds.g[i]:
-                raise ValueError("flow on a top-face edge has no mirror image")
-            continue
-        g[j] = ds.g[i]
-        if ds.g[i] == 0:
-            orient[j] = 1
-        elif classify_edge(e) == VERTICAL:
-            orient[j] = ds.orient[i]
-        else:
-            orient[j] = -ds.orient[i]
+    g[mirror[kept]] = ds.g[kept]
+    orient[mirror[kept]] = np.where(ds.g == 0, 1, flipped)[kept]
     return DiscreteStream(Stream(box, ds.resolution, g, orient), ds.level)
 
 
@@ -243,11 +220,9 @@ def merge_stacked_fields(bottom: CapacityField, top: CapacityField) -> CapacityF
     union = BoxSpec(b.dims, b.height + t.height, b.offset)
     if bottom.resolution != top.resolution:
         raise ValueError("resolutions differ")
-    caps = np.zeros(len(edges_in_box(union)), dtype=np.int64)
+    caps = np.zeros(union.edge_count, dtype=np.int64)
     for part in (bottom, top):
-        ids = edge_ids(union)
-        for i, e in enumerate(edges_in_box(part.box)):
-            caps[ids[e]] = part.caps[i]
+        caps[edge_map(part.box, union)] = part.caps
     return CapacityField(union, bottom.resolution, caps)
 
 
@@ -291,28 +266,20 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
             raise JunctionHypothesisError("projection_mismatch", base_point=base)
 
     union = BoxSpec(b1.dims, b1.height + b2.height, b1.offset)
-    ids1 = edge_ids(b1)
     interface = b1.z_hi
-    heavy = None
-    for base in b1.base_points():
-        e = ids1[Edge(base + (interface - 1,), base + (interface,))]
-        if int(s1.g[e]) > need_units:
-            heavy = base
-            break
+    heavy = [x > need_units for x in s1.g[_vertical_layer(b1, interface - 1)].tolist()]
 
-    if heavy is None:
-        uids = edge_ids(union)
-        g = np.zeros(len(uids), dtype=np.int64)
-        orient = np.ones(len(uids), dtype=np.int8)
+    if not any(heavy):
+        g = np.zeros(union.edge_count, dtype=np.int64)
+        orient = np.ones(union.edge_count, dtype=np.int8)
         for part in (s1, s2):
-            for i, e in enumerate(edges_in_box(part.box)):
-                j = uids[e]
-                g[j] = part.g[i]
-                orient[j] = part.orient[i]
+            ids = edge_map(part.box, union)
+            g[ids] = part.g
+            orient[ids] = part.orient
         return DiscreteStream(Stream(union, r, g, orient), level)
 
     q = math.ceil(lamf * n ** (d - 1) * level)
-    meet = heavy + (interface,)
+    meet = next(itertools.islice(b1.base_points(), heavy.index(True), None)) + (interface,)
     lower = [p for p in decompose_paths(b1, s1.stream, level) if p[-1] == meet]
     upper = [p for p in decompose_paths(b2, s2.stream, level) if p[0] == meet]
     if len(lower) < q or len(upper) < q:

@@ -18,6 +18,8 @@ order over ``dims + (height + 1,)``: vertex v has z-index
 ``v // (height + 1)``, in C order over ``dims``. Ids and vertex indices do
 not depend on the offset, so solver geometry is keyed on (dims, height)
 alone; ``edges_in_box`` places the same numbering at a box's offset.
+``edge_index`` looks ids up from vertex-index pairs, and ``edge_map`` matches
+the edges of two boxes that share a place in Z^d.
 """
 
 from __future__ import annotations
@@ -128,10 +130,7 @@ class BoxSpec:
 
     @property
     def base_area(self) -> int:
-        area = 1
-        for k in self.dims:
-            area *= k
-        return area
+        return math.prod(self.dims)
 
     @cached_property
     def edge_count(self) -> int:
@@ -180,6 +179,39 @@ def edge_ends(dims: tuple[int, ...], height: int) -> tuple[np.ndarray, np.ndarra
     return tail, head
 
 
+def edge_index(box: BoxSpec, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The id of each (tail, head) vertex-index pair of the box, -1 where the
+    pair is not an edge (ends of -1 included). Ids rank (tail, head), so
+    ``tail * V + head`` increases with the id and one binary search finds them.
+    """
+    tails, heads = edge_ends(box.dims, box.height)
+    n_vertices = box.base_area * (box.height + 1)
+    keys = tails * n_vertices + heads
+    tail, head = np.asarray(tail, dtype=np.int64), np.asarray(head, dtype=np.int64)
+    query = tail * n_vertices + head
+    ids = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where((keys[ids] == query) & (tail >= 0) & (head >= 0), ids, -1)
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def edge_map(src: BoxSpec, dst: BoxSpec) -> np.ndarray:
+    """The id in ``dst`` of every edge of ``src`` at the same place in Z^d,
+    -1 where ``dst`` lacks it, in ``src`` edge-id order. Read-only."""
+    if src.d != dst.d:
+        raise ValueError("boxes live in different dimensions")
+    src_sizes, dst_sizes = src.dims + (src.height + 1,), dst.dims + (dst.height + 1,)
+    shift = [s - t for s, t in zip(src.offset, dst.offset)]
+
+    def moved(v: np.ndarray) -> np.ndarray:
+        coords = [c + s for c, s in zip(np.unravel_index(v, src_sizes), shift)]
+        inside = np.logical_and.reduce([(c >= 0) & (c < k) for c, k in zip(coords, dst_sizes)])
+        return np.where(inside, np.ravel_multi_index(coords, dst_sizes, mode="clip"), -1)
+
+    ids = edge_index(dst, *map(moved, edge_ends(src.dims, src.height)))
+    ids.setflags(write=False)
+    return ids
+
+
 def vertex_points(box: BoxSpec) -> list[Point]:
     """The lattice point of every ``edge_ends`` vertex index of the box, in index order."""
     corner = tuple(o + 1 for o in box.offset[:-1]) + (box.z_lo,)
@@ -191,21 +223,12 @@ def vertex_points(box: BoxSpec) -> list[Point]:
 def edges_in_box(box: BoxSpec) -> tuple[Edge, ...]:
     """All edges of the box, lexicographically ordered; index = dense edge id.
 
-    This is ``edge_ends`` with each vertex index read as its lattice point.
-    Vertical edges span [z, z+1] for z_lo <= z < z_hi over every base point
-    (so the edges entering from the bottom face are included even though
-    their lower endpoint is not a box vertex). Horizontal edges live at
-    heights z_lo+1 .. z_hi with both endpoints inside the base.
+    This is ``edge_ends`` with each vertex index read as its lattice point,
+    for the API boundary; the module docstring gives the membership rule.
     """
     points = vertex_points(box)
     tail, head = edge_ends(box.dims, box.height)
     return tuple(Edge(points[t], points[h]) for t, h in zip(tail.tolist(), head.tolist()))
-
-
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def edge_ids(box: BoxSpec) -> dict[Edge, int]:
-    """Edge -> dense id map for a box. Treat the returned dict as read-only."""
-    return {e: i for i, e in enumerate(edges_in_box(box))}
 
 
 def face_vertices(box: BoxSpec, which: str) -> frozenset[Point]:
@@ -247,19 +270,7 @@ class RectSpec:
 
     @property
     def area(self) -> int:
-        area = 1
-        for s in self.sides:
-            area *= s
-        return area
-
-    def contains(self, base: tuple[int, ...]) -> bool:
-        return all(a < x <= b for x, a, b in zip(base, self.lo, self.hi))
-
-    def is_inner_boundary(self, base: tuple[int, ...]) -> bool:
-        """Base point inside the rectangle with a nearest neighbour outside."""
-        if not self.contains(base):
-            return False
-        return any(x == a + 1 or x == b for x, a, b in zip(base, self.lo, self.hi))
+        return math.prod(self.sides)
 
     def slab_box(self, half_height: int) -> BoxSpec:
         """The slab rect x ]-k, k] as a box, reusing the box edge conventions."""
@@ -267,21 +278,3 @@ class RectSpec:
             raise ValueError("half_height must be >= 1")
         return BoxSpec(self.sides, 2 * half_height, self.lo + (-half_height,))
 
-
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def inner_boundary_edges(rect: RectSpec, height_range: tuple[int, int]) -> frozenset[Edge]:
-    """Edges with both endpoints on the inner boundary of the cylinder rect x R,
-    restricted to heights ]z_lo, z_hi] with the box edge conventions.
-
-    ``height_range`` is the pair (z_lo, z_hi); the returned set is exactly the
-    boundary-to-boundary subset of ``edges_in_box`` of the enclosing slab box.
-    """
-    z_lo, z_hi = height_range
-    if z_lo >= z_hi:
-        raise ValueError("empty height range")
-    enclosing = BoxSpec(rect.sides, z_hi - z_lo, rect.lo + (z_lo,))
-    return frozenset(
-        e
-        for e in edges_in_box(enclosing)
-        if rect.is_inner_boundary(e.a[:-1]) and rect.is_inner_boundary(e.b[:-1])
-    )

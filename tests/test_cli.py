@@ -344,3 +344,40 @@ def test_certificate_csv_golden(tmp_path, command, config, digest):
     out = tmp_path / f"{command}.csv"
     assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("oracle", {"distribution": UNIFORM, "n": 2, "height": 1, "lam": "0.5"}),
+        ("oracle", {"distribution": BERN, "n": 2, "height": 1, "lam": "-1/2"}),
+        ("psi", {"distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5", -1], "samples": 2}),
+    ],
+)
+def test_bad_law_or_lam_is_config_error(tmp_path, command, config):
+    cfg = write_config(tmp_path, "c.json", {"seed": 1, **config})
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, digest",
+    [
+        ("sample", {"distribution": UNIFORM, "d": 3, "n": 3, "height": 2},
+         "de916087dbee830d069a754c41ea9fd763d0bb0ececdbe81e1b0b8a4c8d9f2d0"),
+        ("sample", {"distribution": {**BERN, "p": "0.5"}, "n": 4, "height": 3},
+         "a97eb7fc4db230b714c1fbeafa8057b6ecdaeb5029d21f1028ef73afdb71e85c"),
+        ("flow", {"distribution": UNIFORM, "d": 3, "n": 3, "height": 3},
+         "ac78854aa4949453e34ca93d611dc090248083a541aa7135fe39a6bab8a03adb"),
+        ("tau", {"distribution": {"kind": "half_normal", "sigma": 1.0}, "d": 3, "n": 3, "k_slab": 2},
+         "daf8be67ca34b4a891d5725bea7ed43a23dc20dc545464413cfee6b3fb59904d"),
+    ],
+)
+def test_api_boundary_csv_golden(tmp_path, command, config, digest):
+    """Edge endpoints and kinds in ``sample``, cut edge ids in ``flow`` and the
+    pinned cut in ``tau``, all at seed 2029."""
+    cfg = write_config(tmp_path, "c.json", {"seed": 2029, **config})
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

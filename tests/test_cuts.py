@@ -118,7 +118,7 @@ def test_width_two_base_forces_flat_cut():
         field = sample_field(base.slab_box(2), dist, R, seed=derive_seed(500, trial))
         value, cut = tau_slab(SlabProblem(base, 2, field))
         assert value == oracle_tau(base, 2, field)
-        flat = [field.cap_of(e) for e in edges_in_box(base.slab_box(2)) if e.a[-1] == 0 and e.b[-1] == 1 and classify_edge(e) == VERTICAL]
+        flat = [c for e, c in zip(edges_in_box(base.slab_box(2)), field.caps.tolist()) if e.a[-1] == 0 and e.b[-1] == 1 and classify_edge(e) == VERTICAL]
         assert value == sum(flat)
 
 

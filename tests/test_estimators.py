@@ -222,6 +222,11 @@ def test_exact_tail_above_sup_is_zero():
     assert exact_tail_probability(BERN09, BoxSpec((2,), 2), Fraction(3, 2)) == 0
 
 
+def test_exact_tail_rejects_negative_lam():
+    with pytest.raises(ValueError, match="non-negative"):
+        exact_tail_probability(BERN09, BoxSpec((2,), 2), Fraction(-1, 2))
+
+
 def test_exact_tail_budget():
     with pytest.raises(EnumerationBudgetError):
         exact_tail_probability(BERN09, BoxSpec((2,), 2), 1, budget=10)

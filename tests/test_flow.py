@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_flow import solve_min_cut
-from reference_lattice import box_vertices
+from reference_lattice import box_vertices, edge_ids
 
 from latticeflow import cuts, flow, lattice
 from latticeflow.capacity import (
@@ -34,7 +34,6 @@ from latticeflow.lattice import (
     BoxSpec,
     Edge,
     RectSpec,
-    edge_ids,
     edges_in_box,
     face_vertices,
 )
@@ -160,8 +159,8 @@ def test_duality_and_certificates_random():
         field = sample_field(box, dists[trial % 3], R, seed=derive_seed(3000, trial))
         res = max_flow(box, field)
         # weight recomputed from scratch, disconnection by traversal
-        edges = edges_in_box(box)
-        assert res.value == sum(field.cap_of(edges[i]) for i in res.min_cut.edge_ids)
+        caps = field.caps.tolist()
+        assert res.value == sum(caps[i] for i in res.min_cut.edge_ids)
         assert disconnects(box, res.min_cut.edge_ids)
         assert validate_stream(box, field, res.stream) == []
         assert flow_value(res.stream) == res.value
@@ -178,7 +177,7 @@ def test_monotone_in_capacities():
 def test_height_one_flow_is_vertical_sum():
     box = BoxSpec((3,), 1)
     field = sample_field(box, DistributionSpec.uniform(0, 1), R, seed=8)
-    verticals = [field.cap_of(Edge((x, 0), (x, 1))) for x in (1, 2, 3)]
+    verticals = [int(field.caps[edge_ids(box)[Edge((x, 0), (x, 1))]]) for x in (1, 2, 3)]
     res = max_flow(box, field)
     assert res.value == sum(verticals)
     assert flow_value(res.stream) == res.value
@@ -505,8 +504,7 @@ def test_certificates_match_reference(d, sides, h, offset, law, seed, k_disc, pi
 BOUNDED_CACHES = {
     "lattice.edge_ends": lattice.edge_ends,
     "lattice.edges_in_box": lattice.edges_in_box,
-    "lattice.edge_ids": lattice.edge_ids,
-    "lattice.inner_boundary_edges": lattice.inner_boundary_edges,
+    "lattice.edge_map": lattice.edge_map,
     "flow._dual_adjacency": flow._dual_adjacency,
     "flow._contracted": flow._contracted,
     "cuts.uncuttable_edge_ids": cuts.uncuttable_edge_ids,
@@ -515,8 +513,8 @@ BOUNDED_CACHES = {
 
 @pytest.fixture(scope="module")
 def many_shapes_solved():
-    """Solve, and build the ``Edge`` views of, more distinct slab shapes, at
-    distinct offsets, than any cache holds."""
+    """Solve, restrict, and build the ``Edge`` views of, more distinct slab
+    shapes, at distinct offsets, than any cache holds."""
     for i in range(lattice.GEOMETRY_CACHE_SIZE + 1):
         d, j = 2 + i % 2, i // 2
         sides = (1 + j % 16,) if d == 2 else (1 + j % 4, 1 + j // 4 % 4)
@@ -528,8 +526,8 @@ def many_shapes_solved():
         res = max_flow(field.box, field)
         assert validate_stream(field.box, field, res.stream) == []
         assert flow_value(res.stream) == res.value
-        lattice.edge_ids(field.box)
-        lattice.inner_boundary_edges(base, (-half, half))
+        assert field.restrict_to(field.box).caps.tolist() == field.caps.tolist()
+        assert len(lattice.edges_in_box(field.box)) == field.box.edge_count
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDED_CACHES))

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_lattice import edge_ids, sorted_edges_in_box
 
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
@@ -29,7 +32,7 @@ from latticeflow.junction import (
     translate_stream,
     truncated_projection,
 )
-from latticeflow.lattice import BoxSpec, Edge, edge_ids, edges_in_box
+from latticeflow.lattice import VERTICAL, BoxSpec, Edge, classify_edge, edges_in_box
 
 R = DEFAULT_RESOLUTION
 
@@ -245,3 +248,85 @@ def test_join_validates_levels_and_stacking():
     not_stacked = translate_stream(flip_vertical(s1), 4)
     with pytest.raises(ValueError):
         join_streams(s1, not_stacked, Fraction(1, 2), 2, 2)
+
+
+BOXES = st.integers(2, 4).flatmap(
+    lambda d: st.builds(
+        BoxSpec,
+        st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1).map(tuple),
+        st.integers(1, 4),
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple),
+    )
+)
+
+
+def mirrored(box, e):
+    """The edge's image about the mid-height plane, as points."""
+    a, b = (p[:-1] + (box.z_lo + box.z_hi - p[-1],) for p in (e.a, e.b))
+    return Edge(a, b)
+
+
+@given(box=BOXES, seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_flip_vertical_field_mirrors_points_and_is_an_involution(box, seed):
+    field = sample_field(box, DistributionSpec.uniform(0, 1), R, seed)
+    flipped = flip_vertical_field(field)
+    ids = edge_ids(box)
+    for e, c in zip(sorted_edges_in_box(box), field.caps.tolist()):
+        # edges inside the top face have no image and keep their capacity
+        assert flipped.caps[ids.get(mirrored(box, e), ids[e])] == c
+    assert flip_vertical_field(flipped).caps.tolist() == field.caps.tolist()
+
+
+@given(box=BOXES, seed=st.integers(0, 2**32), level=st.sampled_from([1, 2, 4]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_flip_vertical_stream_mirrors_points_and_is_an_involution(box, seed, level):
+    dist = DistributionSpec.finite_discrete([("0", "0.25"), ("0.5", "0.25"), ("1", "0.5")])
+    ds = discrete_max_flow_stream(box, sample_field(box, dist, R, seed), level)
+    flipped = flip_vertical(ds)
+    ids = edge_ids(box)
+    for e, g, o in zip(sorted_edges_in_box(box), ds.g.tolist(), ds.orient.tolist()):
+        if g:
+            j = ids[mirrored(box, e)]
+            assert flipped.g[j] == g
+            assert flipped.orient[j] == (o if classify_edge(e) == VERTICAL else -o)
+    assert (flipped.orient[flipped.g == 0] == 1).all()
+    twice = flip_vertical(flipped)
+    assert twice.g.tolist() == ds.g.tolist() and twice.orient.tolist() == ds.orient.tolist()
+
+
+@given(box=BOXES, seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_restrict_to_recovers_both_merged_parts(box, seed):
+    top = box.translate((0,) * (box.d - 1) + (box.height,))
+    dist = DistributionSpec.exponential(1.0)
+    parts = [sample_field(b, dist, R, derive_seed(seed, i)) for i, b in enumerate((box, top))]
+    merged = merge_stacked_fields(*parts)
+    assert merged.box.edge_count == box.edge_count + top.edge_count
+    for part in parts:
+        assert merged.restrict_to(part.box).caps.tolist() == part.caps.tolist()
+
+
+@given(
+    d=st.integers(2, 3),
+    n=st.integers(1, 3),
+    height=st.integers(1, 3),
+    level=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_join_glues_valid_streams_in_d2_and_d3(d, n, height, level, seed):
+    box = BoxSpec((n,) * (d - 1), height)
+    dist = DistributionSpec.finite_discrete([("0", "0.25"), ("0.5", "0.25"), ("1", "0.5")])
+    field = sample_field(box, dist, R, seed)
+    s1 = discrete_max_flow_stream(box, field, level)
+    total = flow_value(s1.stream)
+    if total == 0:
+        return
+    s2 = translate_stream(flip_vertical(s1), height)
+    f2 = translate_field(flip_vertical_field(field), height)
+    lam = Fraction(3, 4) * Fraction(total, n ** (d - 1) * R)
+    joined = join_streams(s1, s2, lam, n, level)
+    assert flow_value(joined.stream) >= lam * n ** (d - 1) * R
+    union_field = merge_stacked_fields(discretize(field, level), discretize(f2, level))
+    assert validate_stream(joined.box, union_field, joined.stream) == []

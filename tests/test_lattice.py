@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_lattice import sorted_edges_in_box
+from reference_lattice import contains, edge_ids, inner_boundary_edges, sorted_edges_in_box
 
 from latticeflow.cuts import uncuttable_edge_ids
 from latticeflow.lattice import (
@@ -15,10 +15,10 @@ from latticeflow.lattice import (
     RectSpec,
     classify_edge,
     edge_ends,
-    edge_ids,
+    edge_index,
+    edge_map,
     edges_in_box,
     face_vertices,
-    inner_boundary_edges,
 )
 
 
@@ -100,7 +100,7 @@ def test_edge_ids_are_lexicographic_and_dense():
     box = BoxSpec((2,), 2)
     edges = edges_in_box(box)
     assert list(edges) == sorted(edges, key=lambda e: (e.a, e.b))
-    assert sorted(edge_ids(box).values()) == list(range(len(edges)))
+    assert edge_index(box, *edge_ends(box.dims, box.height)).tolist() == list(range(len(edges)))
 
 
 @given(
@@ -133,6 +133,45 @@ def test_index_numbering_matches_sorted_enumeration(dims, height, offset):
         if not (classify_edge(e) == VERTICAL and e.a[-1] == 0)
     }
     assert uncuttable_edge_ids(rect, half) == frozenset(expected)
+
+
+def offset_boxes(d):
+    return st.builds(
+        BoxSpec,
+        st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1).map(tuple),
+        st.integers(1, 4),
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple),
+    )
+
+
+@given(pair=st.integers(2, 4).flatmap(lambda d: st.tuples(offset_boxes(d), offset_boxes(d))))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_edge_map_matches_reference_lookup(pair):
+    src, dst = pair
+    ids = edge_ids(dst)
+    expected = [ids.get(e, -1) for e in sorted_edges_in_box(src)]
+    mapped = edge_map(src, dst)
+    assert mapped.tolist() == expected
+    assert not mapped.flags.writeable
+
+
+def test_edge_map_disjoint_partial_and_nested_boxes():
+    big = BoxSpec((3, 3), 3, (0, 0, 0))
+    assert (edge_map(BoxSpec((2, 2), 2, (5, 5, 5)), big) == -1).all()
+    inner = BoxSpec((2, 2), 2, (1, 1, 1))
+    assert (edge_map(inner, big) >= 0).all()
+    partial = edge_map(BoxSpec((2, 2), 2, (2, 1, 1)), big)
+    assert (partial >= 0).any() and (partial == -1).any()
+    with pytest.raises(ValueError):
+        edge_map(BoxSpec((2,), 2), big)
+
+
+def test_edge_index_masks_missing_ends():
+    box = BoxSpec((2,), 2)
+    last = box.base_area * (box.height + 1) - 1
+    # (last, -1) as a key equals that of the edge (last - 1, last); it must not match it
+    assert edge_index(box, [last - 1], [last]).tolist() == [box.edge_count - 1]
+    assert edge_index(box, [last, -1, -1, 0], [-1, 0, -1, 2]).tolist() == [-1, -1, -1, -1]
 
 
 @pytest.mark.parametrize(
@@ -222,12 +261,12 @@ def test_inner_boundary_matches_vertex_scan_3d():
 
     def boundary_vertex(v):
         base = v[:-1]
-        if not rect.contains(base):
+        if not contains(rect, base):
             return False
         for i in range(len(base)):
             for step in (-1, 1):
                 w = base[:i] + (base[i] + step,) + base[i + 1 :]
-                if not rect.contains(w):
+                if not contains(rect, w):
                     return True
         return False
 

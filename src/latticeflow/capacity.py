@@ -223,7 +223,6 @@ class CapacityField:
             raise ValueError("capacities must be non-negative")
         caps.setflags(write=False)
         self.caps = caps
-        self.total_units = sum(caps.tolist())
 
     @classmethod
     def constant(cls, box: BoxSpec, units: int, resolution: int = DEFAULT_RESOLUTION) -> "CapacityField":
@@ -399,16 +398,20 @@ def sample_field(
     return CapacityField(box, resolution, caps, seed=seed)
 
 
-def discretize(field: CapacityField, k: int) -> CapacityField:
-    """Round capacities down to multiples of 1/k; the resolution is unchanged.
+def _level_step(k: int, resolution: int) -> int:
+    """Grid cells per 1/k: flooring onto the 1/k grid is ``caps - caps % step``.
 
-    ``k`` must be a power of two not exceeding the field resolution, so the
-    coarse grid is a sub-grid of the stored one and the operation is exact.
+    ``k`` must be a power of two not exceeding ``resolution``, so the coarse
+    grid is a sub-grid of the stored one and the operation is exact.
     """
     if not is_power_of_two(k):
         raise ValueError("k must be a positive power of two")
-    if k > field.resolution:
+    if k > resolution:
         raise ValueError("k must not exceed the field resolution")
-    step = field.resolution // k
-    caps = (field.caps // step) * step
-    return CapacityField(field.box, field.resolution, caps, seed=field.seed)
+    return resolution // k
+
+
+def discretize(field: CapacityField, k: int) -> CapacityField:
+    """Round capacities down to multiples of 1/k; the resolution is unchanged."""
+    step = _level_step(k, field.resolution)
+    return CapacityField(field.box, field.resolution, field.caps - field.caps % step, seed=field.seed)

@@ -27,7 +27,6 @@ class SlabProblem:
     base: RectSpec
     half_height: int
     field: CapacityField
-    pinned: bool = True
 
     def __post_init__(self) -> None:
         if self.half_height < 1:
@@ -62,11 +61,7 @@ def tau_slab(problem: SlabProblem) -> tuple[int, CutSet]:
     The returned cut separates the slab bottom from the slab top, satisfies
     the pinning condition by construction, and its weight equals the value.
     """
-    never = (
-        uncuttable_edge_ids(problem.base, problem.half_height)
-        if problem.pinned
-        else frozenset()
-    )
+    never = uncuttable_edge_ids(problem.base, problem.half_height)
     cut = min_cut(problem.field.box, problem.field, never)
     return cut.weight, cut
 

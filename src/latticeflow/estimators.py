@@ -21,14 +21,14 @@ from .capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
     DistributionSpec,
+    _level_step,
     as_fraction,
     derive_seeds,
-    discretize,
     sample_block,
     unit_count,
 )
 from .cuts import uncuttable_edge_ids
-from .flow import min_cut_value
+from .flow import _values, min_cut_value
 from .lattice import BoxSpec, RectSpec
 
 
@@ -53,9 +53,19 @@ def _map_indices(fn, count: int, width: int, workers: int) -> list:
     if workers <= 1 or len(blocks) <= 1:
         parts = map(fn, blocks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers on the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             parts = list(pool.map(fn, blocks))
     return [value for part in parts for value in part]
+
+
+def _block_values(box, never_cut, k_disc, dist, resolution, seed, block: range) -> list[int]:
+    """``min_cut_value`` of replicas ``block`` on ``box``, with every sampled
+    capacity floored to the 1/k_disc grid."""
+    step = _level_step(k_disc, resolution)
+    rows = sample_block(box, dist, resolution, derive_seeds(seed, block))
+    rows -= rows % step
+    return _values(box, rows, never_cut)
 
 
 def wilson_interval(hits: int, samples: int, z: float = 1.96) -> tuple[float, float]:
@@ -90,17 +100,6 @@ class NuEstimate:
     stderr: float
 
 
-def _nu_replica(slab: BoxSpec, resolution: int, never_cut: frozenset[int], caps) -> int:
-    return min_cut_value(slab, CapacityField(slab, resolution, caps), never_cut)
-
-
-def _nu_block(base, k_slab, dist, resolution, seed, block: range) -> list[int]:
-    slab = base.slab_box(k_slab)
-    never_cut = uncuttable_edge_ids(base, k_slab)
-    rows = sample_block(slab, dist, resolution, derive_seeds(seed, block))
-    return [_nu_replica(slab, resolution, never_cut, caps) for caps in rows]
-
-
 def estimate_nu(
     dist: DistributionSpec,
     n: int,
@@ -116,8 +115,10 @@ def estimate_nu(
     if replications < 1:
         raise ValueError("replications must be >= 1")
     base = RectSpec.cube(n, d)
-    fn = partial(_nu_block, base, k_slab, dist, resolution, seed)
-    taus = _map_indices(fn, replications, base.slab_box(k_slab).edge_count, workers)
+    slab = base.slab_box(k_slab)
+    never_cut = uncuttable_edge_ids(base, k_slab)
+    fn = partial(_block_values, slab, never_cut, resolution, dist, resolution, seed)
+    taus = _map_indices(fn, replications, slab.edge_count, workers)
     denom = base.area * resolution
     mean = Fraction(sum(taus), replications * denom)
     if replications > 1:
@@ -158,18 +159,6 @@ class PsiEstimate:
         return self.hits / self.samples
 
 
-def _psi_replica(box: BoxSpec, resolution: int, k_disc: int, caps) -> int:
-    field = CapacityField(box, resolution, caps)
-    if k_disc != resolution:
-        field = discretize(field, k_disc)
-    return min_cut_value(box, field)
-
-
-def _psi_block(box, k_disc, dist, resolution, seed, block: range) -> list[int]:
-    rows = sample_block(box, dist, resolution, derive_seeds(seed, block))
-    return [_psi_replica(box, resolution, k_disc, caps) for caps in rows]
-
-
 def estimate_psi_sweep(
     dist: DistributionSpec,
     lams,
@@ -198,7 +187,7 @@ def estimate_psi_sweep(
     area = n ** (d - 1)
     thresholds = [math.ceil(l * area * resolution) for l in lamfs]
     box = BoxSpec((n,) * (d - 1), h)
-    fn = partial(_psi_block, box, k_disc, dist, resolution, seed)
+    fn = partial(_block_values, box, frozenset(), k_disc, dist, resolution, seed)
     flows = _map_indices(fn, samples, box.edge_count, workers)
     volume = area * h
     out = []

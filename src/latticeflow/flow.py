@@ -94,10 +94,8 @@ class Violation:
     amount: int
 
 
-def _check_field(box: BoxSpec, field: CapacityField) -> None:
-    if field.box != box:
-        raise ValueError("field does not cover this box")
-    if field.total_units > MAX_TOTAL_UNITS:
+def _check_total(caps: list[int]) -> None:
+    if sum(caps) > MAX_TOTAL_UNITS:
         raise CapacityOverflowError("total capacity exceeds the 64-bit accumulator")
 
 
@@ -152,9 +150,8 @@ def _dual_adjacency(
     return _grouped(_interleave(u, v), _interleave(v, u), np.repeat(kept, 2), 2 + (k - 1) * height)
 
 
-def _dual_value(box: BoxSpec, field: CapacityField, never_cut: frozenset[int]) -> int:
-    adj = _dual_adjacency(box.dims, box.height, never_cut)
-    caps = field.caps.tolist()
+def _dual_value(adj: tuple, caps: list[int]) -> int:
+    """Cheapest left-to-right path through the ``_dual_adjacency`` graph ``adj``."""
     dist = [math.inf] * len(adj)
     dist[_LEFT] = 0
     heap = [(0, _LEFT)]
@@ -222,14 +219,12 @@ def _contracted(
     return nbrs, arcs
 
 
-def _contracted_flow(
-    box: BoxSpec, field: CapacityField, never_cut: frozenset[int]
-) -> tuple[int, list[int], tuple]:
-    """Dinic on the contracted graph, whose arcs are all finite.
+def _contracted_flow(nbrs: tuple, cap: list[int]) -> int:
+    """Dinic on the ``_contracted`` graph ``nbrs``, whose arcs are all finite.
 
-    Returns the maximal flow value, the residual capacity of every arc and
-    the ``_contracted`` graph ``(nbrs, arc_edge)`` they belong to; arc ``a``
-    then carries ``(cap[a ^ 1] - cap[a]) // 2`` units along its direction.
+    ``cap[a]`` is the capacity of arc ``a``. Returns the maximal flow value
+    and leaves ``cap`` holding the residual capacities; arc ``a`` then
+    carries ``(cap[a ^ 1] - cap[a]) // 2`` units along its direction.
 
     Each phase labels nodes by residual distance to the sink, with a
     breadth-first search from the sink that stops at the source's level, so
@@ -237,9 +232,6 @@ def _contracted_flow(
     closer to the sink. After each augmentation the search resumes from the
     tail of the first arc it saturated rather than from the source.
     """
-    graph = _contracted(box.dims, box.height, never_cut)
-    nbrs, arc_edge = graph
-    cap = field.caps[arc_edge].tolist()
     n = len(nbrs)
     value = 0
     while True:
@@ -255,7 +247,7 @@ def _contracted_flow(
                         found.append(v)
             frontier = found
         if dist[_SOURCE] < 0:
-            return value, cap, graph
+            return value
         it = [0] * n
         verts = [_SOURCE]
         path: list[int] = []  # path[j] is the arc out of verts[j]
@@ -294,6 +286,23 @@ def value_solver(d: int) -> str:
     return "planar_dual" if d == 2 else "contracted_dinic"
 
 
+def _values(box: BoxSpec, rows: np.ndarray, never_cut: frozenset[int]) -> list[int]:
+    """``min_cut_value`` of each row of a (replicas, edges) int64 array of
+    non-negative capacities on ``box``, turned into Python ints row by row.
+
+    Exact totals are summed only when the largest capacity times the row
+    width could pass the 64-bit bound.
+    """
+    if rows.size and int(rows.max()) * rows.shape[1] > MAX_TOTAL_UNITS:
+        for row in rows:
+            _check_total(row.tolist())
+    if value_solver(box.d) == "planar_dual":
+        adj = _dual_adjacency(box.dims, box.height, never_cut)
+        return [_dual_value(adj, row.tolist()) for row in rows]
+    nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
+    return [_contracted_flow(nbrs, row[arc_edge].tolist()) for row in rows]
+
+
 def min_cut_value(
     box: BoxSpec, field: CapacityField, never_cut: frozenset[int] = frozenset()
 ) -> int:
@@ -306,10 +315,9 @@ def min_cut_value(
     total below the 64-bit contract, and both raise PinningInfeasibleError
     when the never-cut edges join bottom to top.
     """
-    _check_field(box, field)
-    if value_solver(box.d) == "planar_dual":
-        return _dual_value(box, field, never_cut)
-    return _contracted_flow(box, field, never_cut)[0]
+    if field.box != box:
+        raise ValueError("field does not cover this box")
+    return _values(box, field.caps[None], never_cut)[0]
 
 
 def _flow_and_cut(
@@ -323,8 +331,13 @@ def _flow_and_cut(
     maximal flow (Picard & Queyranne 1980), so the cut is the minimum cut
     with the smallest source side whichever flow Dinic found.
     """
-    _check_field(box, field)
-    value, cap, (nbrs, arc_edge) = _contracted_flow(box, field, never_cut)
+    if field.box != box:
+        raise ValueError("field does not cover this box")
+    caps = field.caps.tolist()
+    _check_total(caps)
+    nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
+    cap = field.caps[arc_edge].tolist()
+    value = _contracted_flow(nbrs, cap)
     reached = [False] * len(nbrs)
     reached[_SOURCE] = True
     todo = [_SOURCE]
@@ -340,7 +353,6 @@ def _flow_and_cut(
         for a, w in arcs
         if not reached[w]
     )
-    caps = field.caps.tolist()
     weight = sum(caps[e] for e in cut_ids)
     if weight != value:
         raise RuntimeError("internal solver error: cut weight differs from flow value")

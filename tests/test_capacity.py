@@ -263,7 +263,6 @@ def test_field_validation_and_lookup():
         CapacityField(box, 12, [0, 0, 0])
     field = CapacityField(box, R, [5, 6, 7])
     assert field.caps.tolist() == [5, 6, 7]
-    assert field.total_units == 18
     with pytest.raises(ValueError):
         field.caps[0] = 1  # write-locked
 

@@ -213,6 +213,22 @@ def test_overflow_exit_code(tmp_path):
     assert run(["flow", "--config", cfg, "--out", tmp_path / "f.csv"]) == EXIT_OVERFLOW
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("command", ["psi", "nu"])
+def test_estimator_overflow_exit_code(tmp_path, command, d):
+    """Every capacity is 2**62 units, so each replica's total passes 2**63 - 1."""
+    config = {
+        "seed": 1, "d": d, "resolution": 2**62,
+        "distribution": {"kind": "bernoulli", "p": "1", "lo": 0, "hi": 1},
+    }
+    if command == "psi":
+        config.update(n=2, height=2, lambdas=["0.5"], samples=3)
+    else:
+        config.update(n_list=[2], k_slab=1, replications=3)
+    cfg = write_config(tmp_path, "c.json", config)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o.csv"]) == EXIT_OVERFLOW
+
+
 def test_workers_env_override(tmp_path, monkeypatch):
     cfg = write_config(
         tmp_path, "c.json",

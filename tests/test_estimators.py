@@ -146,6 +146,56 @@ def test_estimators_build_no_edges(monkeypatch):
     assert lattice.edges_in_box.cache_info().misses == 0
 
 
+def test_estimators_build_no_fields(monkeypatch):
+    """The psi and nu replicas hand their sampled rows to the solver as they are."""
+
+    def no_field(self):
+        raise AssertionError("a CapacityField was built")
+
+    monkeypatch.setattr(CapacityField, "__post_init__", no_field)
+    for d in (2, 3):
+        estimate_psi_sweep(DistributionSpec.uniform(0, 1), [0.2, 0.4], 2, 3, 2**10, 20, seed=36, d=d)
+        estimate_nu(DistributionSpec.exponential(1.0), 2, 2, 20, seed=36, d=d)
+
+
+@pytest.mark.parametrize("k_disc", [3, 2 * R])
+def test_psi_rejects_bad_discretisation_level(k_disc):
+    with pytest.raises(ValueError):
+        estimate_psi_sweep(BERN09, [0.5], 2, 2, k_disc, 5, seed=37)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_is_no_larger_than_the_block_count(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+    dist = DistributionSpec.uniform(0, 1)
+    serial = estimate_psi_sweep(dist, [0.3, 0.5], 2, 2, R, 3, seed=38)
+    nu_serial = estimate_nu(dist, 2, 1, 3, seed=38)
+    assert RecordingPool.sizes == []
+    pooled = estimate_psi_sweep(dist, [0.3, 0.5], 2, 2, R, 3, seed=38, workers=64)
+    nu_pooled = estimate_nu(dist, 2, 1, 3, seed=38, workers=64)
+    assert RecordingPool.sizes == [3, 3]  # one replica per block, three blocks
+    assert [e.hits for e in pooled] == [e.hits for e in serial]
+    assert (nu_pooled.mean, nu_pooled.stderr) == (nu_serial.mean, nu_serial.stderr)
+
+
 def test_psi_lambda_zero_always_hits():
     est = estimate_psi(BERN09, 0, 2, 2, R, 30, seed=21)
     assert est.hits == est.samples == 30

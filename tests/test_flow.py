@@ -335,6 +335,27 @@ def test_capacity_overflow_is_explicit():
                 solve(box, field)
 
 
+MAX_TOTAL = 2**63 - 1
+
+
+@pytest.mark.parametrize("box", [BoxSpec((2,), 2), BoxSpec((2, 1), 2)], ids=["d2", "d3"])
+def test_total_capacity_bound_is_exact(box):
+    """The 64-bit rule bounds the exact total, not the largest capacity
+    times the edge count."""
+    n = box.edge_count
+    big = MAX_TOTAL // n + 1  # big * n passes the bound
+    for caps in (
+        [MAX_TOTAL - (n - 1)] + [1] * (n - 1),  # a total of exactly 2**63 - 1
+        [big] + [0] * (n - 1),  # only the largest-entry bound is passed
+    ):
+        assert sum(caps) <= MAX_TOTAL < max(caps) * n
+        field = CapacityField(box, R, caps)
+        assert min_cut_value(box, field) == max_flow(box, field).value
+    over = CapacityField(box, R, [MAX_TOTAL - (n - 2)] + [1] * (n - 1))  # a total of 2**63
+    with pytest.raises(CapacityOverflowError):
+        min_cut_value(box, over)
+
+
 def test_solver_is_deterministic():
     box = BoxSpec((4,), 5)
     field = sample_field(box, DistributionSpec.uniform(0, 1), R, seed=31337)

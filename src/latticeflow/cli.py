@@ -104,7 +104,7 @@ _HEIGHT_SCHEMA = {
 }
 
 _COMMON = {
-    "seed": {"type": "integer", "minimum": 0},
+    "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
     "out": {"type": "string"},
     "workers": {"type": "integer", "minimum": 1},
     "resolution": {"type": "integer", "minimum": 1},

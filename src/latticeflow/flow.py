@@ -3,7 +3,8 @@
 Integer-unit capacities, one deterministic blocking-flow (Dinic) solver,
 minimum cuts extracted from residual reachability, stream validation, and
 the decomposition of discrete streams into unit paths of the parallel-edge
-expansion.
+expansion. A stream is one signed int64 array over the box edges: the net
+flow along each edge's tail-to-head direction.
 
 The solver first contracts the box graph: the bottom face becomes the
 source, the top face the sink, and each never-cut component one node. A
@@ -39,37 +40,24 @@ class PinningInfeasibleError(RuntimeError):
 
 @dataclass(eq=False)
 class Stream:
-    """Per-edge flow amounts in integer units, with orientations.
+    """Per-edge net flow in integer units.
 
-    ``orient[e]`` is +1 when fluid follows the canonical low-to-high
-    direction of edge e and -1 otherwise. Edges with g == 0 carry the
-    default orientation +1 (lexicographic tail < head).
+    ``flow[e]`` is signed along edge e's canonical direction, from its tail
+    to its head (the lexicographically smaller end to the larger): positive
+    when fluid runs that way, negative when it runs back and 0 on an edge
+    that carries none. The array is a read-only int64 copy.
     """
 
     box: BoxSpec
     resolution: int
-    g: np.ndarray
-    orient: np.ndarray
+    flow: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.array(self.g, dtype=np.int64, copy=True)
-        orient = np.array(self.orient, dtype=np.int8, copy=True)
-        n = self.box.edge_count
-        if g.shape != (n,) or orient.shape != (n,):
-            raise ValueError("stream arrays must have one entry per box edge")
-        if n and int(g.min()) < 0:
-            raise ValueError("flow amounts must be non-negative")
-        if n and not set(np.unique(orient).tolist()) <= {-1, 1}:
-            raise ValueError("orientations must be +1 or -1")
-        g.setflags(write=False)
-        orient.setflags(write=False)
-        self.g = g
-        self.orient = orient
-
-    @classmethod
-    def zero(cls, box: BoxSpec, resolution: int) -> "Stream":
-        n = box.edge_count
-        return cls(box, resolution, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int8))
+        flow = np.array(self.flow, dtype=np.int64, copy=True)
+        if flow.shape != (self.box.edge_count,):
+            raise ValueError("the flow array must have one entry per box edge")
+        flow.setflags(write=False)
+        self.flow = flow
 
 
 @dataclass(frozen=True)
@@ -94,9 +82,16 @@ class Violation:
     amount: int
 
 
-def _check_total(caps: list[int]) -> None:
-    if sum(caps) > MAX_TOTAL_UNITS:
-        raise CapacityOverflowError("total capacity exceeds the 64-bit accumulator")
+def _check_totals(rows: np.ndarray) -> None:
+    """Raise CapacityOverflowError when a row of a (rows, edges) int64 array
+    of non-negative capacities sums past the 64-bit bound.
+
+    Exact totals are summed only when the largest capacity times the row
+    width could pass the bound.
+    """
+    if rows.size and int(rows.max()) * rows.shape[1] > MAX_TOTAL_UNITS:
+        if any(sum(row.tolist()) > MAX_TOTAL_UNITS for row in rows):
+            raise CapacityOverflowError("total capacity exceeds the 64-bit accumulator")
 
 
 def _grouped(keys: np.ndarray, first: np.ndarray, second: np.ndarray, n: int):
@@ -288,14 +283,8 @@ def value_solver(d: int) -> str:
 
 def _values(box: BoxSpec, rows: np.ndarray, never_cut: frozenset[int]) -> list[int]:
     """``min_cut_value`` of each row of a (replicas, edges) int64 array of
-    non-negative capacities on ``box``, turned into Python ints row by row.
-
-    Exact totals are summed only when the largest capacity times the row
-    width could pass the 64-bit bound.
-    """
-    if rows.size and int(rows.max()) * rows.shape[1] > MAX_TOTAL_UNITS:
-        for row in rows:
-            _check_total(row.tolist())
+    non-negative capacities on ``box``, turned into Python ints row by row."""
+    _check_totals(rows)
     if value_solver(box.d) == "planar_dual":
         adj = _dual_adjacency(box.dims, box.height, never_cut)
         return [_dual_value(adj, row.tolist()) for row in rows]
@@ -333,8 +322,7 @@ def _flow_and_cut(
     """
     if field.box != box:
         raise ValueError("field does not cover this box")
-    caps = field.caps.tolist()
-    _check_total(caps)
+    _check_totals(field.caps[None])
     nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
     cap = field.caps[arc_edge].tolist()
     value = _contracted_flow(nbrs, cap)
@@ -353,7 +341,7 @@ def _flow_and_cut(
         for a, w in arcs
         if not reached[w]
     )
-    weight = sum(caps[e] for e in cut_ids)
+    weight = sum(field.caps[list(cut_ids)].tolist())
     if weight != value:
         raise RuntimeError("internal solver error: cut weight differs from flow value")
     return cap, arc_edge, CutSet(cut_ids, weight)
@@ -378,8 +366,7 @@ def max_flow(box: BoxSpec, field: CapacityField) -> MaxFlowResult:
     cap, arc_edge, cut = _flow_and_cut(box, field, frozenset())
     flow = np.zeros(box.edge_count, dtype=np.int64)
     flow[arc_edge[::2]] = [(cap[a + 1] - cap[a]) // 2 for a in range(0, len(cap), 2)]
-    stream = Stream(box, field.resolution, np.abs(flow), np.where(flow < 0, -1, 1))
-    return MaxFlowResult(cut.weight, stream, cut)
+    return MaxFlowResult(cut.weight, Stream(box, field.resolution, flow), cut)
 
 
 def flow_value(stream: Stream) -> int:
@@ -391,7 +378,7 @@ def flow_value(stream: Stream) -> int:
     height = stream.box.height
     tail, head = edge_ends(stream.box.dims, height)
     top = np.flatnonzero((head == tail + 1) & (head % (height + 1) == height))
-    return sum(g * o for g, o in zip(stream.g[top].tolist(), stream.orient[top].tolist()))
+    return sum(stream.flow[top].tolist())
 
 
 def _unbalanced(stream: Stream) -> list[tuple[Point, int]]:
@@ -402,9 +389,9 @@ def _unbalanced(stream: Stream) -> list[tuple[Point, int]]:
     tail, head = edge_ends(box.dims, box.height)
     levels = box.height + 1
     net = [0] * (box.base_area * levels)
-    for t, h, g, o in zip(tail.tolist(), head.tolist(), stream.g.tolist(), stream.orient.tolist()):
-        net[t] += g * o
-        net[h] -= g * o
+    for t, h, x in zip(tail.tolist(), head.tolist(), stream.flow.tolist()):
+        net[t] += x
+        net[h] -= x
     bad = [v for v, x in enumerate(net) if x and 0 < v % levels < box.height]
     points = vertex_points(box) if bad else []
     return [(points[v], net[v]) for v in bad]
@@ -414,9 +401,10 @@ def validate_stream(box: BoxSpec, field: CapacityField, stream: Stream) -> list[
     """Every capacity violation and every unbalanced vertex below the top face."""
     if field.box != box or stream.box != box:
         raise ValueError("box, field and stream shapes must match")
+    flow, caps = stream.flow, field.caps
     violations = [
-        Violation("capacity", edges_in_box(box)[i], int(stream.g[i]) - int(field.caps[i]))
-        for i in np.flatnonzero(stream.g > field.caps).tolist()
+        Violation("capacity", edges_in_box(box)[i], abs(int(flow[i])) - int(caps[i]))
+        for i in np.flatnonzero((flow > caps) | (flow < -caps)).tolist()
     ]
     violations += [Violation("balance", v, net) for v, net in _unbalanced(stream)]
     return violations
@@ -425,29 +413,30 @@ def validate_stream(box: BoxSpec, field: CapacityField, stream: Stream) -> list[
 def decompose_paths(box: BoxSpec, stream: Stream, k: int) -> list[tuple[Point, ...]]:
     """Peel a level-k stream into unit paths of the parallel-edge expansion.
 
-    Each edge e stands for g(e)*k/R parallel unit copies. The peeling walks
-    units from the bottom face until the top face is first reached, excising
-    any loop it closes; excised and leftover units are discarded residual
+    Each edge e stands for |flow(e)|*k/R parallel unit copies, walked
+    against the edge where its flow is negative. The peeling walks units
+    from the bottom face until the top face is first reached, excising any
+    loop it closes; excised and leftover units are discarded residual
     circulation. Exactly k*flow/R paths are returned and each uses a copy of
     an edge at most once.
     """
     if k < 1 or stream.resolution % k:
         raise ValueError("k must divide the stream resolution")
     step = stream.resolution // k
-    g = stream.g.tolist()
-    if any(x % step for x in g):
+    flow = stream.flow.tolist()
+    if any(x % step for x in flow):
         raise ValueError(f"stream is not discrete at level {k}")
     total = flow_value(stream)
     if total < 0:
         raise ValueError("stream has negative flow")
     n_paths = (total * k) // stream.resolution
 
-    units = [x // step for x in g]
+    units = [abs(x) // step for x in flow]
     levels = box.height + 1
     n_vertices = box.base_area * levels
     tail, head = edge_ends(box.dims, box.height)
-    back = stream.orient < 0
-    out = _grouped(np.where(back, head, tail), np.arange(len(g)), np.where(back, tail, head), n_vertices)
+    back = stream.flow < 0
+    out = _grouped(np.where(back, head, tail), np.arange(len(flow)), np.where(back, tail, head), n_vertices)
     ptr = [0] * n_vertices
     points = vertex_points(box)
 

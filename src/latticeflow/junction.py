@@ -1,12 +1,13 @@
 """Discrete streams, truncated boundary projections and stream gluing.
 
-A discrete stream at level k carries flow amounts that are multiples of 1/k
-and is normalised at the faces: edges leaving the bottom face and entering
-the top face point upward, and edges lying inside the top face carry no
-flow. Such streams arise from families of unit paths in the parallel-edge
-expansion of the box, and two of them stacked on top of each other can be
-glued into one stream on the union box whenever their truncated interface
-projections agree, preserving a prescribed amount of flow.
+A discrete stream at level k is a stream whose signed flows are multiples
+of 1/k and which is normalised at the faces: no edge leaving the bottom
+face or entering the top face carries flow downward, and edges lying inside
+the top face carry none. Such streams arise from families of unit paths in
+the parallel-edge expansion of the box, and two of them stacked on top of
+each other can be glued into one stream on the union box whenever their
+truncated interface projections agree, preserving a prescribed amount of
+flow.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .capacity import CapacityField, as_fraction, discretize, is_power_of_two
+from .capacity import CapacityField, CapacityOverflowError, as_fraction, discretize, is_power_of_two
 from .flow import Stream, _unbalanced, decompose_paths, flow_value, max_flow
 from .lattice import BoxSpec, edge_ends, edge_index, edge_map
 
@@ -35,44 +36,28 @@ class JunctionHypothesisError(ValueError):
 
 
 @dataclass(eq=False)
-class DiscreteStream:
+class DiscreteStream(Stream):
     """A stream whose amounts are multiples of R/level, normalised for gluing."""
 
-    stream: Stream
     level: int
 
     def __post_init__(self) -> None:
-        if not is_power_of_two(self.level) or self.level > self.stream.resolution:
+        super().__post_init__()
+        if not is_power_of_two(self.level) or self.level > self.resolution:
             raise ValueError("level must be a power of two dividing the resolution")
-        step = self.stream.resolution // self.level
-        box = self.stream.box
-        if any(int(x) % step for x in self.stream.g.tolist()):
+        step = self.resolution // self.level
+        box = self.box
+        if any(x % step for x in self.flow.tolist()):
             raise ValueError(f"amounts are not multiples of 1/{self.level}")
         faces = np.concatenate([_vertical_layer(box, box.z_lo), _vertical_layer(box, box.z_hi - 1)])
-        if (self.stream.orient[faces] != 1).any():
-            raise ValueError("face edges must be oriented bottom-up")
+        if (self.flow[faces] < 0).any():
+            raise ValueError("face edges must carry flow bottom-up")
         tail = edge_ends(box.dims, box.height)[0]  # only top-face edges start on the top face
-        if self.stream.g[tail % (box.height + 1) == box.height].any():
+        if self.flow[tail % (box.height + 1) == box.height].any():
             raise ValueError("edges inside the top face must carry no flow")
-        unbalanced = _unbalanced(self.stream)
+        unbalanced = _unbalanced(self)
         if unbalanced:
             raise ValueError(f"stream is unbalanced at {unbalanced[0][0]}")
-
-    @property
-    def box(self) -> BoxSpec:
-        return self.stream.box
-
-    @property
-    def resolution(self) -> int:
-        return self.stream.resolution
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.stream.g
-
-    @property
-    def orient(self) -> np.ndarray:
-        return self.stream.orient
 
 
 @dataclass(frozen=True)
@@ -95,15 +80,15 @@ def _vertical_layer(box: BoxSpec, layer: int) -> np.ndarray:
     return np.flatnonzero((head == tail + 1) & (tail % (box.height + 1) == layer - box.z_lo))
 
 
-def _stream_from_paths(box: BoxSpec, paths, unit: int, resolution: int) -> Stream:
-    """Rebuild a stream from unit paths, each traversal carrying ``unit``."""
+def _flow_from_paths(box: BoxSpec, paths, unit: int) -> np.ndarray:
+    """The net flow of unit paths, each traversal carrying ``unit``."""
     steps = [step for path in paths for step in itertools.pairwise(path)]
     corner = np.add(box.offset, (1,) * (box.d - 1) + (0,))  # the point of vertex 0
     coords = np.array(steps, dtype=np.int64).reshape(-1, 2, box.d) - corner
     u, w = np.ravel_multi_index(np.moveaxis(coords, -1, 0), box.dims + (box.height + 1,)).T
     net = np.zeros(box.edge_count, dtype=np.int64)
     np.add.at(net, edge_index(box, np.minimum(u, w), np.maximum(u, w)), np.where(u < w, unit, -unit))
-    return Stream(box, resolution, np.abs(net), np.where(net < 0, -1, 1))
+    return net
 
 
 def discrete_max_flow_stream(box: BoxSpec, field: CapacityField, level: int) -> DiscreteStream:
@@ -113,10 +98,9 @@ def discrete_max_flow_stream(box: BoxSpec, field: CapacityField, level: int) -> 
     paths and rebuilt, which yields the face normalisation for free.
     """
     coarse = discretize(field, level)
-    result = max_flow(box, coarse)
-    paths = decompose_paths(box, result.stream, level)
-    stream = _stream_from_paths(box, paths, field.resolution // level, field.resolution)
-    return DiscreteStream(stream, level)
+    paths = decompose_paths(box, max_flow(box, coarse).stream, level)
+    r = field.resolution
+    return DiscreteStream(box, r, _flow_from_paths(box, paths, r // level), level)
 
 
 def _cap_units(lam: Fraction, n: int, d: int, resolution: int) -> int:
@@ -134,7 +118,7 @@ def truncated_projection(ds: DiscreteStream, layer: int, lam, n: int) -> tuple[i
     if not box.z_lo <= layer < box.z_hi:
         raise ValueError("layer outside the box")
     cap = _cap_units(lamf, n, box.d, ds.resolution)
-    return tuple(min(x, cap) for x in ds.g[_vertical_layer(box, layer)].tolist())
+    return tuple(min(abs(x), cap) for x in ds.flow[_vertical_layer(box, layer)].tolist())
 
 
 def boundary_condition(ds: DiscreteStream, lam, n: int) -> BoundaryCondition:
@@ -161,7 +145,7 @@ def boundary_count_bound(lam, n: int, level: int, d: int) -> int:
 def translate_stream(ds: DiscreteStream, dz: int) -> DiscreteStream:
     """The same stream on the box shifted vertically by dz."""
     box = ds.box.translate((0,) * (ds.box.d - 1) + (dz,))
-    return DiscreteStream(Stream(box, ds.resolution, ds.g, ds.orient), ds.level)
+    return DiscreteStream(box, ds.resolution, ds.flow, ds.level)
 
 
 def translate_field(field: CapacityField, dz: int) -> CapacityField:
@@ -201,16 +185,15 @@ def flip_vertical(ds: DiscreteStream) -> DiscreteStream:
     box = ds.box
     mirror = _mirror(box)
     kept = mirror >= 0
-    if ds.g[~kept].any():
+    if ds.flow[~kept].any():
         raise ValueError("flow on a top-face edge has no mirror image")
+    if (ds.flow == np.iinfo(np.int64).min).any():
+        raise CapacityOverflowError("a flow of -2**63 units has no 64-bit mirror image")
     tail, head = edge_ends(box.dims, box.height)
+    flow = np.zeros_like(ds.flow)
     # the fluid reverses on every edge, and a vertical edge's ends swap as well
-    flipped = np.where(head == tail + 1, ds.orient, -ds.orient)
-    g = np.zeros_like(ds.g)
-    orient = np.ones_like(ds.orient)
-    g[mirror[kept]] = ds.g[kept]
-    orient[mirror[kept]] = np.where(ds.g == 0, 1, flipped)[kept]
-    return DiscreteStream(Stream(box, ds.resolution, g, orient), ds.level)
+    flow[mirror[kept]] = np.where(head == tail + 1, ds.flow, -ds.flow)[kept]
+    return DiscreteStream(box, ds.resolution, flow, ds.level)
 
 
 def merge_stacked_fields(bottom: CapacityField, top: CapacityField) -> CapacityField:
@@ -255,9 +238,9 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
     d = b1.d
     need_units = lamf * n ** (d - 1) * r  # exact threshold in units
 
-    if flow_value(s1.stream) < need_units:
+    if flow_value(s1) < need_units:
         raise JunctionHypothesisError("flow_shortfall", which="lower stream")
-    if flow_value(s2.stream) < need_units:
+    if flow_value(s2) < need_units:
         raise JunctionHypothesisError("flow_shortfall", which="upper stream")
     p1 = truncated_projection(s1, b1.z_hi - 1, lamf, n)
     p2 = truncated_projection(s2, b2.z_lo, lamf, n)
@@ -267,23 +250,19 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
 
     union = BoxSpec(b1.dims, b1.height + b2.height, b1.offset)
     interface = b1.z_hi
-    heavy = [x > need_units for x in s1.g[_vertical_layer(b1, interface - 1)].tolist()]
+    heavy = [x > need_units for x in s1.flow[_vertical_layer(b1, interface - 1)].tolist()]
 
     if not any(heavy):
-        g = np.zeros(union.edge_count, dtype=np.int64)
-        orient = np.ones(union.edge_count, dtype=np.int8)
+        flow = np.zeros(union.edge_count, dtype=np.int64)
         for part in (s1, s2):
-            ids = edge_map(part.box, union)
-            g[ids] = part.g
-            orient[ids] = part.orient
-        return DiscreteStream(Stream(union, r, g, orient), level)
+            flow[edge_map(part.box, union)] = part.flow
+        return DiscreteStream(union, r, flow, level)
 
     q = math.ceil(lamf * n ** (d - 1) * level)
     meet = next(itertools.islice(b1.base_points(), heavy.index(True), None)) + (interface,)
-    lower = [p for p in decompose_paths(b1, s1.stream, level) if p[-1] == meet]
-    upper = [p for p in decompose_paths(b2, s2.stream, level) if p[0] == meet]
+    lower = [p for p in decompose_paths(b1, s1, level) if p[-1] == meet]
+    upper = [p for p in decompose_paths(b2, s2, level) if p[0] == meet]
     if len(lower) < q or len(upper) < q:
         raise RuntimeError("internal gluing error: too few paths through the interface")
     glued = [lo + up[1:] for lo, up in zip(lower[:q], upper[:q])]
-    stream = _stream_from_paths(union, glued, r // level, r)
-    return DiscreteStream(stream, level)
+    return DiscreteStream(union, r, _flow_from_paths(union, glued, r // level), level)

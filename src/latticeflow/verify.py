@@ -229,7 +229,7 @@ def check_junction(seed: int, trials: int = 20) -> PropertyResult:
                     caps[i] = 2 * r
             f1 = CapacityField(box, r, caps)
         s1 = discrete_max_flow_stream(box, f1, level)
-        flow1 = flow_value(s1.stream)
+        flow1 = flow_value(s1)
         if flow1 == 0:
             continue
         s2 = translate_stream(flip_vertical(s1), height)
@@ -243,9 +243,9 @@ def check_junction(seed: int, trials: int = 20) -> PropertyResult:
         union_field = merge_stacked_fields(discretize(f1, level), discretize(f2, level))
         need = lam * n * r
         ok = (
-            not validate_stream(joined.box, union_field, joined.stream)
-            and flow_value(joined.stream) >= need
-            and max_flow(joined.box, union_field).value >= flow_value(joined.stream)
+            not validate_stream(joined.box, union_field, joined)
+            and flow_value(joined) >= need
+            and max_flow(joined.box, union_field).value >= flow_value(joined)
         )
         bad += not ok
     return PropertyResult("junction", trials, bad)

@@ -261,7 +261,7 @@ def test_criterion_7_junction():
         else:
             field = sample_field(box, law, R, seed=derive_seed(70008, trial))
         s1 = discrete_max_flow_stream(box, field, level)
-        total = flow_value(s1.stream)
+        total = flow_value(s1)
         if total == 0:
             continue
         done += 1
@@ -270,16 +270,16 @@ def test_criterion_7_junction():
         lam = Fraction(3, 4) * Fraction(total, n * R)
         need = lam * n * R
         interface = [
-            int(s1.g[edge_ids(box)[Edge((x,) + (height - 1,), (x,) + (height,))]])
+            int(s1.flow[edge_ids(box)[Edge((x,) + (height - 1,), (x,) + (height,))]])
             for x in range(1, n + 1)
         ]
-        branch = "reglue" if any(g > need for g in interface) else "concatenate"
+        branch = "reglue" if any(x > need for x in interface) else "concatenate"
         branches[branch] += 1
         joined = join_streams(s1, s2, lam, n, level)
-        assert flow_value(joined.stream) >= need
+        assert flow_value(joined) >= need
         union_field = merge_stacked_fields(discretize(field, level), discretize(f2, level))
-        assert validate_stream(joined.box, union_field, joined.stream) == []
-        assert max_flow(joined.box, union_field).value >= flow_value(joined.stream)
+        assert validate_stream(joined.box, union_field, joined) == []
+        assert max_flow(joined.box, union_field).value >= flow_value(joined)
     assert branches["concatenate"] > 0 and branches["reglue"] > 0
     elapsed = time.time() - start
     assert elapsed < 60

@@ -193,6 +193,21 @@ def test_seed_is_mandatory(tmp_path):
     assert run(["psi", "--config", cfg, "--seed", 4, "--out", tmp_path / "ok.csv"]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sample", {"distribution": BERN, "n": 2, "height": 2}),
+        ("psi", {"distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 5}),
+    ],
+)
+def test_seed_past_64_bits_is_a_config_error(tmp_path, command, config):
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o.csv"
+    assert run([command, "--config", cfg, "--seed", 2**64, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    assert run([command, "--config", cfg, "--seed", 2**64 - 1, "--out", out]) == EXIT_OK
+
+
 def test_budget_exceeded_exit_code(tmp_path):
     cfg = write_config(
         tmp_path, "c.json",

@@ -125,7 +125,7 @@ def test_zero_field():
     res = max_flow(box, field)
     assert res.value == 0
     assert res.min_cut.weight == 0
-    assert not res.stream.g.any()
+    assert not res.stream.flow.any()
     assert validate_stream(box, field, res.stream) == []
 
 
@@ -186,12 +186,11 @@ def test_height_one_flow_is_vertical_sum():
 def test_flow_value_unit_column():
     box = BoxSpec((2,), 3)
     ids = edge_ids(box)
-    g = np.zeros(len(ids), dtype=np.int64)
+    flow = np.zeros(len(ids), dtype=np.int64)
     for z in range(3):
-        g[ids[Edge((1, z), (1, z + 1))]] = R
-    stream = Stream(box, R, g, np.ones(len(ids), dtype=np.int8))
-    assert flow_value(stream) == R
-    assert flow_value(Stream.zero(box, R)) == 0
+        flow[ids[Edge((1, z), (1, z + 1))]] = R
+    assert flow_value(Stream(box, R, flow)) == R
+    assert flow_value(Stream(box, R, np.zeros(len(ids), dtype=np.int64))) == 0
 
 
 def test_validate_stream_reports_single_violations():
@@ -201,19 +200,17 @@ def test_validate_stream_reports_single_violations():
     assert validate_stream(box, field, res.stream) == []
 
     # one capacity violation, naming the edge
-    g = res.stream.g.copy()
-    g.setflags(write=True)
-    g[0] = field.caps[0] + 1
-    bad = Stream(box, R, g, res.stream.orient)
+    flow = res.stream.flow.copy()
+    flow[0] = field.caps[0] + 1
+    bad = Stream(box, R, flow)
     caps_viol = [v for v in validate_stream(box, field, bad) if v.kind == "capacity"]
     assert len(caps_viol) == 1 and caps_viol[0].where == edges_in_box(box)[0]
 
     # one unit injected at the interior vertex (1, 2): exactly one balance violation
     ids = edge_ids(box)
-    g2 = res.stream.g.copy()
-    g2.setflags(write=True)
-    g2[ids[Edge((1, 2), (1, 3))]] += R // 4
-    bad2 = Stream(box, R, g2, res.stream.orient)
+    flow2 = res.stream.flow.copy()
+    flow2[ids[Edge((1, 2), (1, 3))]] += R // 4
+    bad2 = Stream(box, R, flow2)
     bal = [v for v in validate_stream(box, CapacityField.constant(box, 2 * R), bad2) if v.kind == "balance"]
     assert len(bal) == 1
     assert bal[0].where == (1, 2)
@@ -224,12 +221,10 @@ def test_balance_sums_are_exact_past_int64():
     box = BoxSpec((2,), 2)
     ids = edge_ids(box)
     big = 2**62 + 1
-    g = np.zeros(len(ids), dtype=np.int64)
-    orient = np.ones(len(ids), dtype=np.int8)
-    g[ids[Edge((1, 0), (1, 1))]] = big  # up into (1, 1)
-    g[ids[Edge((1, 1), (2, 1))]] = big
-    orient[ids[Edge((1, 1), (2, 1))]] = -1  # from (2, 1) into (1, 1)
-    stream = Stream(box, R, g, orient)
+    flow = np.zeros(len(ids), dtype=np.int64)
+    flow[ids[Edge((1, 0), (1, 1))]] = big  # up into (1, 1)
+    flow[ids[Edge((1, 1), (2, 1))]] = -big  # from (2, 1) into (1, 1)
+    stream = Stream(box, R, flow)
     field = CapacityField.constant(box, big)
     assert [(v.kind, v.where, v.amount) for v in validate_stream(box, field, stream)] == [
         ("balance", (1, 1), -2 * big),
@@ -237,11 +232,41 @@ def test_balance_sums_are_exact_past_int64():
     ]
 
 
+def test_negative_flows_are_exact_at_the_int64_edge():
+    box = BoxSpec((2,), 1)  # no vertex below the top face, so nothing to balance
+    ids = edge_ids(box)
+    left, right = ids[Edge((1, 0), (1, 1))], ids[Edge((2, 0), (2, 1))]
+    cap = 5
+    flow = np.zeros(len(ids), dtype=np.int64)
+    flow[left], flow[right] = -(2**63), -(cap + 1)
+    stream = Stream(box, R, flow)
+    field = CapacityField.constant(box, cap)
+    assert [(v.kind, v.where, v.amount) for v in validate_stream(box, field, stream)] == [
+        ("capacity", Edge((1, 0), (1, 1)), 2**63 - cap),
+        ("capacity", Edge((2, 0), (2, 1)), 1),
+    ]
+    assert flow_value(stream) == -(2**63) - (cap + 1)
+    flow[right] = -(2**63)
+    assert flow_value(Stream(box, R, flow)) == -(2**64)
+
+
+def test_decompose_walks_negative_flow_backwards():
+    box = BoxSpec((2,), 2)
+    ids = edge_ids(box)
+    for r in (R, 2**62):
+        flow = np.zeros(len(ids), dtype=np.int64)
+        flow[ids[Edge((2, 0), (2, 1))]] = r
+        flow[ids[Edge((1, 1), (2, 1))]] = -r  # from (2, 1) back to (1, 1)
+        flow[ids[Edge((1, 1), (1, 2))]] = r
+        stream = Stream(box, r, flow)
+        assert flow_value(stream) == r
+        assert decompose_paths(box, stream, 2) == [((2, 0), (2, 1), (1, 1), (1, 2))] * 2
+
+
 def test_decompose_unit_column():
     box = BoxSpec((1,), 3)
     ids = edge_ids(box)
-    g = np.full(len(ids), R, dtype=np.int64)
-    stream = Stream(box, R, g, np.ones(len(ids), dtype=np.int8))
+    stream = Stream(box, R, np.full(len(ids), R, dtype=np.int64))
     paths = decompose_paths(box, stream, 1)
     assert paths == [((1, 0), (1, 1), (1, 2), (1, 3))]
 
@@ -273,12 +298,12 @@ def test_decompose_tally_on_seeded_instance():
             usage[ids[Edge(u, w)]] += 1
     step = R // k
     for i, used in usage.items():
-        assert used <= res.stream.g[i] // step
+        assert used <= abs(int(res.stream.flow[i])) // step
 
 
 def test_decompose_rejects_non_discrete():
     box = BoxSpec((1,), 1)
-    stream = Stream(box, R, np.array([R // 3]), np.array([1], dtype=np.int8))
+    stream = Stream(box, R, np.array([R // 3]))
     with pytest.raises(ValueError):
         decompose_paths(box, stream, 2)
 
@@ -350,10 +375,11 @@ def test_total_capacity_bound_is_exact(box):
     ):
         assert sum(caps) <= MAX_TOTAL < max(caps) * n
         field = CapacityField(box, R, caps)
-        assert min_cut_value(box, field) == max_flow(box, field).value
+        assert min_cut_value(box, field) == min_cut(box, field).weight == max_flow(box, field).value
     over = CapacityField(box, R, [MAX_TOTAL - (n - 2)] + [1] * (n - 1))  # a total of 2**63
-    with pytest.raises(CapacityOverflowError):
-        min_cut_value(box, over)
+    for solve in (min_cut_value, min_cut, max_flow):
+        with pytest.raises(CapacityOverflowError):
+            solve(box, over)
 
 
 def test_solver_is_deterministic():
@@ -363,8 +389,7 @@ def test_solver_is_deterministic():
     b = max_flow(box, field)
     assert a.value == b.value
     assert a.min_cut == b.min_cut
-    assert np.array_equal(a.stream.g, b.stream.g)
-    assert np.array_equal(a.stream.orient, b.stream.orient)
+    assert np.array_equal(a.stream.flow, b.stream.flow)
 
 
 LAWS = [
@@ -519,7 +544,7 @@ def test_certificates_match_reference(d, sides, h, offset, law, seed, k_disc, pi
     assert flow_value(res.stream) == value
     top = box.z_hi
     inside_top = [i for i, e in enumerate(edges_in_box(box)) if e.a[-1] == e.b[-1] == top]
-    assert not res.stream.g[inside_top].any()
+    assert not res.stream.flow[inside_top].any()
 
 
 BOUNDED_CACHES = {

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ from reference_lattice import edge_ids, sorted_edges_in_box
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
+    CapacityOverflowError,
     DistributionSpec,
     derive_seed,
     discretize,
@@ -40,11 +42,11 @@ R = DEFAULT_RESOLUTION
 def column_stream(box, amounts, level=1):
     """Stream made of full vertical columns; amounts are whole units per column."""
     ids = edge_ids(box)
-    g = np.zeros(len(ids), dtype=np.int64)
+    flow = np.zeros(len(ids), dtype=np.int64)
     for base, a in zip(box.base_points(), amounts):
         for z in range(box.z_lo, box.z_hi):
-            g[ids[Edge(base + (z,), base + (z + 1,))]] = a
-    return DiscreteStream(Stream(box, R, g, np.ones(len(ids), dtype=np.int8)), level)
+            flow[ids[Edge(base + (z,), base + (z + 1,))]] = a
+    return DiscreteStream(box, R, flow, level)
 
 
 def fat_column_field(box, column, units):
@@ -60,28 +62,31 @@ def test_discrete_stream_validation():
     ids = edge_ids(box)
     n = len(ids)
     # not a multiple of R/2
-    with pytest.raises(ValueError):
-        DiscreteStream(Stream(box, R, np.full(n, R // 3), np.ones(n, dtype=np.int8)), 2)
+    with pytest.raises(ValueError, match="multiples"):
+        DiscreteStream(box, R, np.full(n, R // 3), 2)
     # flow on a top-face horizontal edge
-    g = np.zeros(n, dtype=np.int64)
-    g[ids[Edge((1, 2), (2, 2))]] = R
-    with pytest.raises(ValueError):
-        DiscreteStream(Stream(box, R, g, np.ones(n, dtype=np.int8)), 1)
-    # downward-oriented bottom edge
-    orient = np.ones(n, dtype=np.int8)
-    orient[ids[Edge((1, 0), (1, 1))]] = -1
-    with pytest.raises(ValueError):
-        DiscreteStream(Stream(box, R, np.zeros(n, dtype=np.int64), orient), 1)
+    flow = np.zeros(n, dtype=np.int64)
+    flow[ids[Edge((1, 2), (2, 2))]] = R
+    with pytest.raises(ValueError, match="top face"):
+        DiscreteStream(box, R, flow, 1)
+    # balanced, but leaving the box down a bottom-face edge: up column 2,
+    # across to (1, 1) and back down to (1, 0)
+    down = np.zeros(n, dtype=np.int64)
+    down[ids[Edge((2, 0), (2, 1))]] = R
+    down[ids[Edge((1, 1), (2, 1))]] = -R
+    down[ids[Edge((1, 0), (1, 1))]] = -R
+    with pytest.raises(ValueError, match="bottom-up"):
+        DiscreteStream(box, R, down, 1)
     # unbalanced interior vertex
-    g2 = np.zeros(n, dtype=np.int64)
-    g2[ids[Edge((1, 0), (1, 1))]] = R
-    with pytest.raises(ValueError):
-        DiscreteStream(Stream(box, R, g2, np.ones(n, dtype=np.int8)), 1)
+    flow2 = np.zeros(n, dtype=np.int64)
+    flow2[ids[Edge((1, 0), (1, 1))]] = R
+    with pytest.raises(ValueError, match="unbalanced"):
+        DiscreteStream(box, R, flow2, 1)
 
 
 def test_truncated_projection_zero_stream():
     box = BoxSpec((2,), 3)
-    zero = DiscreteStream(Stream.zero(box, R), 1)
+    zero = DiscreteStream(box, R, np.zeros(box.edge_count, dtype=np.int64), 1)
     assert truncated_projection(zero, 0, 1, 2) == (0, 0)
 
 
@@ -96,7 +101,7 @@ def test_truncated_projection_inactive_cap():
     box = BoxSpec((2,), 2)
     field = CapacityField.constant(box, R)
     ds = discrete_max_flow_stream(box, field, 2)
-    raw = tuple(int(ds.g[edge_ids(box)[Edge((x, 0), (x, 1))]]) for x in (1, 2))
+    raw = tuple(int(ds.flow[edge_ids(box)[Edge((x, 0), (x, 1))]]) for x in (1, 2))
     assert truncated_projection(ds, 0, 100, 2) == raw
 
 
@@ -126,9 +131,30 @@ def test_flip_preserves_validity_and_flow():
         field = sample_field(box, DistributionSpec.uniform(0, 1), R, seed=derive_seed(51, trial))
         ds = discrete_max_flow_stream(box, field, 2)
         flipped = flip_vertical(ds)
-        assert flow_value(flipped.stream) == flow_value(ds.stream)
+        assert flow_value(flipped) == flow_value(ds)
         mirror_field = flip_vertical_field(discretize(field, 2))
-        assert validate_stream(box, mirror_field, flipped.stream) == []
+        assert validate_stream(box, mirror_field, flipped) == []
+
+
+def test_flip_refuses_a_flow_with_no_64_bit_mirror():
+    # 2**63 units cross (2, 1, 1) -> (1, 1, 1), stored as -2**63; mirrored,
+    # the horizontal edge would need +2**63
+    box = BoxSpec((2, 2), 2)
+    ids = edge_ids(box)
+    flow = np.zeros(len(ids), dtype=np.int64)
+    half = 2**62
+    for a, b, x in [
+        ((2, 1, 0), (2, 1, 1), half),
+        ((2, 2, 0), (2, 2, 1), half),
+        ((2, 1, 1), (2, 2, 1), -half),
+        ((1, 1, 1), (2, 1, 1), -(2**63)),
+        ((1, 1, 1), (1, 1, 2), half),
+        ((1, 1, 1), (1, 2, 1), half),
+        ((1, 2, 1), (1, 2, 2), half),
+    ]:
+        flow[ids[Edge(a, b)]] = x
+    with pytest.raises(CapacityOverflowError):
+        flip_vertical(DiscreteStream(box, R, flow, 1))
 
 
 def test_boundary_count_bound_values():
@@ -152,14 +178,11 @@ def test_boundary_count_bound_dominates_enumeration():
         flow_h = b1 - t1  # balance at (1,1): surplus moves to the other column
         if flow_h != t2 - b2 or abs(flow_h) > 2:
             continue
-        g = np.zeros(n, dtype=np.int64)
-        orient = np.ones(n, dtype=np.int8)
-        g[cols[0][0]], g[cols[0][1]] = b1 * R, t1 * R
-        g[cols[1][0]], g[cols[1][1]] = b2 * R, t2 * R
-        g[h_edge] = abs(flow_h) * R
-        if flow_h < 0:
-            orient[h_edge] = -1
-        ds = DiscreteStream(Stream(box, R, g, orient), 1)
+        flow = np.zeros(n, dtype=np.int64)
+        flow[cols[0][0]], flow[cols[0][1]] = b1 * R, t1 * R
+        flow[cols[1][0]], flow[cols[1][1]] = b2 * R, t2 * R
+        flow[h_edge] = flow_h * R
+        ds = DiscreteStream(box, R, flow, 1)
         bc = boundary_condition(ds, lam, 2)
         seen.add((bc.pi1, bc.pi2))
     assert 0 < len(seen) <= boundary_count_bound(lam, 2, 1, 2)
@@ -171,9 +194,9 @@ def test_join_concatenates_constant_columns():
     s2 = translate_stream(flip_vertical(s1), 3)
     joined = join_streams(s1, s2, Fraction(1, 2), 2, 2)
     assert joined.box == BoxSpec((2,), 6)
-    assert flow_value(joined.stream) == 2 * R
+    assert flow_value(joined) == 2 * R
     union_field = CapacityField.constant(joined.box, R)
-    assert validate_stream(joined.box, union_field, joined.stream) == []
+    assert validate_stream(joined.box, union_field, joined) == []
 
 
 def test_join_fat_column_regluing():
@@ -181,16 +204,16 @@ def test_join_fat_column_regluing():
     field = fat_column_field(box, 1, 2 * R)
     k = 2
     s1 = discrete_max_flow_stream(box, field, k)
-    assert flow_value(s1.stream) == 2 * R
+    assert flow_value(s1) == 2 * R
     s2 = translate_stream(flip_vertical(s1), 3)
     f2 = translate_field(flip_vertical_field(field), 3)
     lam = Fraction(3, 4)  # lam * n = 1.5 < 2 on the fat column: regluing branch
     joined = join_streams(s1, s2, lam, 2, k)
     expected = math.ceil(lam * 2 * k) * (R // k)
-    assert flow_value(joined.stream) == expected
+    assert flow_value(joined) == expected
     union_field = merge_stacked_fields(discretize(field, k), discretize(f2, k))
-    assert validate_stream(joined.box, union_field, joined.stream) == []
-    assert max_flow(joined.box, union_field).value >= flow_value(joined.stream)
+    assert validate_stream(joined.box, union_field, joined) == []
+    assert max_flow(joined.box, union_field).value >= flow_value(joined)
 
 
 def test_join_reports_flow_shortfall():
@@ -225,7 +248,7 @@ def test_join_randomised_hypothesis_satisfying_pairs():
         box = BoxSpec((n,), height)
         field = sample_field(box, dist, R, seed=derive_seed(910, trial))
         s1 = discrete_max_flow_stream(box, field, level)
-        total = flow_value(s1.stream)
+        total = flow_value(s1)
         if total == 0:
             continue
         done += 1
@@ -233,10 +256,10 @@ def test_join_randomised_hypothesis_satisfying_pairs():
         f2 = translate_field(flip_vertical_field(field), height)
         lam = Fraction(3, 4) * Fraction(total, n * R)
         joined = join_streams(s1, s2, lam, n, level)
-        assert flow_value(joined.stream) >= lam * n * R
+        assert flow_value(joined) >= lam * n * R
         union_field = merge_stacked_fields(discretize(field, level), discretize(f2, level))
-        assert validate_stream(joined.box, union_field, joined.stream) == []
-        assert max_flow(joined.box, union_field).value >= flow_value(joined.stream)
+        assert validate_stream(joined.box, union_field, joined) == []
+        assert max_flow(joined.box, union_field).value >= flow_value(joined)
 
 
 def test_join_validates_levels_and_stacking():
@@ -285,14 +308,12 @@ def test_flip_vertical_stream_mirrors_points_and_is_an_involution(box, seed, lev
     ds = discrete_max_flow_stream(box, sample_field(box, dist, R, seed), level)
     flipped = flip_vertical(ds)
     ids = edge_ids(box)
-    for e, g, o in zip(sorted_edges_in_box(box), ds.g.tolist(), ds.orient.tolist()):
-        if g:
+    for e, x in zip(sorted_edges_in_box(box), ds.flow.tolist()):
+        if x:
             j = ids[mirrored(box, e)]
-            assert flipped.g[j] == g
-            assert flipped.orient[j] == (o if classify_edge(e) == VERTICAL else -o)
-    assert (flipped.orient[flipped.g == 0] == 1).all()
-    twice = flip_vertical(flipped)
-    assert twice.g.tolist() == ds.g.tolist() and twice.orient.tolist() == ds.orient.tolist()
+            assert flipped.flow[j] == (x if classify_edge(e) == VERTICAL else -x)
+    assert np.count_nonzero(flipped.flow) == np.count_nonzero(ds.flow)
+    assert flip_vertical(flipped).flow.tolist() == ds.flow.tolist()
 
 
 @given(box=BOXES, seed=st.integers(0, 2**32))
@@ -320,13 +341,50 @@ def test_join_glues_valid_streams_in_d2_and_d3(d, n, height, level, seed):
     dist = DistributionSpec.finite_discrete([("0", "0.25"), ("0.5", "0.25"), ("1", "0.5")])
     field = sample_field(box, dist, R, seed)
     s1 = discrete_max_flow_stream(box, field, level)
-    total = flow_value(s1.stream)
+    total = flow_value(s1)
     if total == 0:
         return
     s2 = translate_stream(flip_vertical(s1), height)
     f2 = translate_field(flip_vertical_field(field), height)
     lam = Fraction(3, 4) * Fraction(total, n ** (d - 1) * R)
     joined = join_streams(s1, s2, lam, n, level)
-    assert flow_value(joined.stream) >= lam * n ** (d - 1) * R
+    assert flow_value(joined) >= lam * n ** (d - 1) * R
     union_field = merge_stacked_fields(discretize(field, level), discretize(f2, level))
-    assert validate_stream(joined.box, union_field, joined.stream) == []
+    assert validate_stream(joined.box, union_field, joined) == []
+
+
+# sha256 of the signed streams below, recorded from the two-array stream
+# format (amount times orientation) that the single signed array replaced
+GOLDEN_STREAM_DIGEST = "bb6cb767b7cf44aa1df71637f6f19bec8288105f2fb3b386432a2c4b9c8eb312"
+
+
+def test_signed_streams_match_golden_digest():
+    """The solver's stream, the level-1/2/4 discrete streams, their mirror
+    images and their joins (both branches) on seeded d=2 and d=3 boxes."""
+    dist = DistributionSpec.finite_discrete([("0", "0.25"), ("0.5", "0.25"), ("1", "0.5")])
+    digest = hashlib.sha256()
+    reglued = []
+
+    def add(stream):
+        digest.update(repr((stream.box, stream.resolution)).encode())
+        digest.update(stream.flow.astype("<i8").tobytes())
+
+    for trial, (d, n, height) in enumerate(itertools.product((2, 3), (1, 2, 3), (1, 2, 3))):
+        box = BoxSpec((n,) * (d - 1), height)
+        field = sample_field(box, dist, R, derive_seed(4242, trial))
+        add(max_flow(box, field).stream)
+        for level in (1, 2, 4):
+            ds = discrete_max_flow_stream(box, field, level)
+            assert isinstance(ds, Stream)
+            flipped = flip_vertical(ds)
+            add(ds)
+            add(flipped)
+            total = flow_value(ds)
+            if total == 0:
+                continue
+            lam = Fraction(3, 4) * Fraction(total, n ** (d - 1) * R)
+            top = truncated_projection(ds, box.z_hi - 1, lam, n)  # its cap exceeds 3/4 of total
+            reglued.append(any(x > Fraction(3, 4) * total for x in top))
+            add(join_streams(ds, translate_stream(flipped, height), lam, n, level))
+    assert set(reglued) == {False, True}
+    assert digest.hexdigest() == GOLDEN_STREAM_DIGEST

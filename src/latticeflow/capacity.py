@@ -133,25 +133,6 @@ class DistributionSpec:
     def is_finite(self) -> bool:
         return self.kind in _FINITE_KINDS
 
-    def to_json(self) -> dict:
-        if self.kind == BERNOULLI:
-            return {
-                "kind": BERNOULLI,
-                "p": str(self.probs[1]),
-                "lo": str(self.support[0]),
-                "hi": str(self.support[1]),
-            }
-        if self.kind == FINITE_DISCRETE:
-            return {
-                "kind": FINITE_DISCRETE,
-                "atoms": [[str(v), str(p)] for v, p in zip(self.support, self.probs)],
-            }
-        if self.kind == UNIFORM:
-            return {"kind": UNIFORM, "a": str(self.support[0]), "b": str(self.support[1])}
-        if self.kind == EXPONENTIAL:
-            return {"kind": EXPONENTIAL, "rate": self.rate}
-        return {"kind": HALF_NORMAL, "sigma": self.sigma}
-
     @classmethod
     def from_json(cls, obj: dict) -> "DistributionSpec":
         kind = obj.get("kind")
@@ -348,6 +329,16 @@ def edge_uniforms(seed: int, count: int) -> np.ndarray:
     return edge_uniform_rows([seed], count)[0]
 
 
+def _unit_table(dist: DistributionSpec, resolution: int) -> np.ndarray:
+    """int64 capacity units of each atom of a finite law, in support order."""
+    if not is_power_of_two(resolution):
+        raise ValueError("resolution must be a positive power of two")
+    units = [unit_count(v, resolution) for v in dist.support]
+    if max(units) >= 2**63:
+        raise CapacityOverflowError("a support value overflows 64-bit capacity units")
+    return np.array(units, dtype=np.int64)
+
+
 def sample_block(
     box: BoxSpec,
     dist: DistributionSpec,
@@ -364,12 +355,9 @@ def sample_block(
     u = edge_uniform_rows(seeds, box.edge_count)
     r = float(resolution)
     if dist.is_finite:
-        units = [unit_count(v, resolution) for v in dist.support]
-        if max(units) >= 2**63:
-            raise CapacityOverflowError("a support value overflows 64-bit capacity units")
         cum = np.cumsum(np.array([float(p) for p in dist.probs]))
         cum[-1] = 1.0  # guard float drift; u < 1 keeps indices in range
-        return np.array(units, dtype=np.int64)[np.searchsorted(cum, u, side="right")]
+        return _unit_table(dist, resolution)[np.searchsorted(cum, u, side="right")]
     if dist.kind == UNIFORM:
         a, b = dist.support
         x = float(a) * r + u * float(b - a) * r

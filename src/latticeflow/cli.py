@@ -21,7 +21,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .capacity import (
@@ -441,10 +442,11 @@ def _load_config(args) -> dict:
         config["seed"] = args.seed
     if args.out is not None:
         config["out"] = args.out
-    try:
-        jsonschema.validate(config, SCHEMAS[args.command])
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"config schema violation: {err.message}") from None
+    # the schemas are fixed, so they are checked against the metaschema by
+    # the tests rather than on every run, as ``jsonschema.validate`` would
+    err = best_match(Draft202012Validator(SCHEMAS[args.command]).iter_errors(config))
+    if err is not None:
+        raise ConfigError(f"config schema violation: {err.message}")
     if args.command != "report" and "seed" not in config:
         raise ConfigError("a seed is mandatory (config key 'seed' or --seed)")
     return config

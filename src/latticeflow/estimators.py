@@ -19,16 +19,15 @@ import numpy as np
 
 from .capacity import (
     DEFAULT_RESOLUTION,
-    CapacityField,
     DistributionSpec,
     _level_step,
+    _unit_table,
     as_fraction,
     derive_seeds,
     sample_block,
-    unit_count,
 )
 from .cuts import uncuttable_edge_ids
-from .flow import _values, min_cut_value
+from .flow import _values
 from .lattice import BoxSpec, RectSpec
 
 
@@ -238,7 +237,9 @@ def exact_tail_probability(
     Enumerates every capacity assignment of a finite law over the box edges
     (support values floored onto the 1/resolution grid, matching sampling)
     and sums the exact assignment probabilities where the flow clears the
-    threshold. Independent of the Monte Carlo path; intended for tiny boxes.
+    threshold. The assignments are solved in blocks of rows by the same row
+    solver as the Monte Carlo path, but nothing is sampled; intended for
+    tiny boxes.
     """
     if not dist.is_finite:
         raise ValueError("exact enumeration needs a finite-support law")
@@ -249,17 +250,14 @@ def exact_tail_probability(
     s = len(dist.support)
     if s**m > budget:
         raise EnumerationBudgetError(f"{s}**{m} assignments exceed the budget {budget}")
-    units = [unit_count(v, resolution) for v in dist.support]
+    units = _unit_table(dist, resolution)
     threshold = math.ceil(lamf * box.base_area * resolution)
+    assignments = itertools.product(range(s), repeat=m)
     total = Fraction(0)
-    for assign in itertools.product(range(s), repeat=m):
-        caps = np.array([units[j] for j in assign], dtype=np.int64)
-        field = CapacityField(box, resolution, caps)
-        if min_cut_value(box, field) >= threshold:
-            prob = Fraction(1)
-            for j in assign:
-                prob *= dist.probs[j]
-            total += prob
+    while block := list(itertools.islice(assignments, max(1, _BLOCK_ELEMENTS // m))):
+        for assign, value in zip(block, _values(box, units[np.array(block)], frozenset())):
+            if value >= threshold:
+                total += math.prod(dist.probs[j] for j in assign)
     return total
 
 

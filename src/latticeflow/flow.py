@@ -402,10 +402,9 @@ def validate_stream(box: BoxSpec, field: CapacityField, stream: Stream) -> list[
     if field.box != box or stream.box != box:
         raise ValueError("box, field and stream shapes must match")
     flow, caps = stream.flow, field.caps
-    violations = [
-        Violation("capacity", edges_in_box(box)[i], abs(int(flow[i])) - int(caps[i]))
-        for i in np.flatnonzero((flow > caps) | (flow < -caps)).tolist()
-    ]
+    over = np.flatnonzero((flow > caps) | (flow < -caps)).tolist()
+    edges = edges_in_box(box) if over else ()
+    violations = [Violation("capacity", edges[i], abs(int(flow[i])) - int(caps[i])) for i in over]
     violations += [Violation("balance", v, net) for v, net in _unbalanced(stream)]
     return violations
 

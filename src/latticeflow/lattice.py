@@ -219,7 +219,6 @@ def vertex_points(box: BoxSpec) -> list[Point]:
     return list(itertools.product(*(range(c, c + k) for c, k in zip(corner, sizes))))
 
 
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def edges_in_box(box: BoxSpec) -> tuple[Edge, ...]:
     """All edges of the box, lexicographically ordered; index = dense edge id.
 

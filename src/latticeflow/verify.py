@@ -35,7 +35,7 @@ from .junction import (
     translate_field,
     translate_stream,
 )
-from .lattice import BoxSpec, RectSpec, edges_in_box, face_vertices
+from .lattice import BoxSpec, RectSpec, edge_ends
 
 
 @dataclass(frozen=True)
@@ -61,22 +61,29 @@ def _shape_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _adjacency(box: BoxSpec, ids: list[int]) -> dict[int, list[tuple[int, int]]]:
+    """``adj[v]``: (edge id, other end) of each edge of ``ids`` at vertex
+    index v, in the ``edge_ends`` numbering, where z-index 0 is the bottom
+    face and z-index ``height`` the top face."""
+    tail, head = edge_ends(box.dims, box.height)
+    adj: dict = {}
+    for i, t, h in zip(ids, tail[ids].tolist(), head[ids].tolist()):
+        adj.setdefault(t, []).append((i, h))
+        adj.setdefault(h, []).append((i, t))
+    return adj
+
+
 def _disconnected_without(box: BoxSpec, removed: frozenset[int]) -> bool:
     """True when no bottom-to-top path survives the removal of the cut edges."""
-    adj: dict = {}
-    for i, e in enumerate(edges_in_box(box)):
-        if i in removed:
-            continue
-        adj.setdefault(e.a, []).append(e.b)
-        adj.setdefault(e.b, []).append(e.a)
-    top = face_vertices(box, "top")
-    seen = set(face_vertices(box, "bottom"))
+    adj = _adjacency(box, [i for i in range(box.edge_count) if i not in removed])
+    levels = box.height + 1
+    seen = set(range(0, box.base_area * levels, levels))
     queue = deque(seen)
     while queue:
         v = queue.popleft()
-        if v in top:
+        if v % levels == box.height:
             return False
-        for w in adj.get(v, ()):
+        for _, w in adj.get(v, ()):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -85,21 +92,16 @@ def _disconnected_without(box: BoxSpec, removed: frozenset[int]) -> bool:
 
 def max_disjoint_open_paths(box: BoxSpec, open_ids: frozenset[int]) -> int:
     """Exhaustive maximal edge-disjoint open-path packing on a tiny box."""
-    edges = edges_in_box(box)
-    adj: dict = {}
-    for i in open_ids:
-        e = edges[i]
-        adj.setdefault(e.a, []).append((i, e.b))
-        adj.setdefault(e.b, []).append((i, e.a))
-    bottom = sorted(face_vertices(box, "bottom"))
-    top = face_vertices(box, "top")
+    adj = _adjacency(box, sorted(open_ids))
+    levels = box.height + 1
+    bottom = range(0, box.base_area * levels, levels)
     memo: dict[frozenset[int], int] = {}
 
     def paths_from(avail: frozenset[int]):
         found = []
 
         def walk(v, used: frozenset[int], trail: tuple[int, ...]):
-            if v in top:
+            if v % levels == box.height:
                 found.append(trail)
                 return
             for i, w in adj.get(v, ()):
@@ -222,12 +224,10 @@ def check_junction(seed: int, trials: int = 20) -> PropertyResult:
             f1 = sample_field(box, dist, r, derive_seed(seed, t))
         else:
             # fat column: one column wide open, everything else shut
-            caps = np.zeros(box.edge_count, dtype=np.int64)
             col = int(rng.integers(1, n + 1))
-            for i, e in enumerate(edges_in_box(box)):
-                if e.axis == 1 and e.a[0] == col:
-                    caps[i] = 2 * r
-            f1 = CapacityField(box, r, caps)
+            tail, head = edge_ends(box.dims, height)
+            fat = (head == tail + 1) & (tail // (height + 1) == col - 1)
+            f1 = CapacityField(box, r, np.where(fat, 2 * r, 0))
         s1 = discrete_max_flow_stream(box, f1, level)
         flow1 = flow_value(s1)
         if flow1 == 0:

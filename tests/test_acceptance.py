@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 from reference_lattice import edge_ids
 
+from latticeflow import verify
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
@@ -53,6 +54,7 @@ from latticeflow.lattice import (
 
 R = DEFAULT_RESOLUTION
 BERN09 = DistributionSpec.bernoulli("0.9", 0, 1)
+BERN09_JSON = {"kind": "bernoulli", "p": "0.9", "lo": 0, "hi": 1}
 
 MIXED = (
     DistributionSpec.bernoulli("0.5", 0, 1),
@@ -168,6 +170,32 @@ def test_criterion_2_menger_oracle():
     elapsed = time.time() - start
     assert elapsed < 30
     _ok(2, "menger oracle", f"{count} instances, {elapsed:.1f}s")
+
+
+def test_verify_oracles_match_point_oracles():
+    """``verify``'s index-array oracles give the answers of the point-set ones here."""
+    rng = np.random.Generator(np.random.Philox(key=12012))
+    disconnected, packings = set(), set()
+    for t in range(80):
+        d = 2 + t % 2
+        dims = tuple(int(rng.integers(1, 6 if d == 2 else 4)) for _ in range(d - 1))
+        box = BoxSpec(dims, int(rng.integers(1, 5)))
+        if t % 4 == 0:
+            field = sample_field(box, MIXED[t // 4 % 4], R, seed=derive_seed(12013, t))
+            removed = max_flow(box, field).min_cut.edge_ids
+        else:
+            removed = frozenset(np.flatnonzero(rng.random(box.edge_count) < 0.4).tolist())
+        answer = verify._disconnected_without(box, removed)
+        assert answer == _cut_disconnects(box, removed)
+        disconnected.add(answer)
+    assert disconnected == {True, False}
+    for t in range(40):
+        box = (BoxSpec((3,), 2), BoxSpec((2,), 3), BoxSpec((2, 2), 1))[t % 3]
+        open_ids = frozenset(np.flatnonzero(rng.random(box.edge_count) < 0.6).tolist())
+        count = verify.max_disjoint_open_paths(box, open_ids)
+        assert count == _max_disjoint_open_paths(box, open_ids)
+        packings.add(count)
+    assert len(packings) >= 3
 
 
 def test_criterion_3_point_mass_identity():
@@ -316,14 +344,14 @@ def test_criterion_9_determinism(tmp_path):
         "verify": {"seed": 90009, "scale": 0.2},
         "nu": {
             "seed": 90010,
-            "distribution": BERN09.to_json(),
+            "distribution": BERN09_JSON,
             "n_list": [2, 4],
             "k_slab": 2,
             "replications": 8,
         },
         "psi": {
             "seed": 90011,
-            "distribution": BERN09.to_json(),
+            "distribution": BERN09_JSON,
             "n": 3,
             "height": 4,
             "lambdas": ["0.3", "0.6", "0.9"],

@@ -4,12 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from latticeflow.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_OVERFLOW,
+    SCHEMAS,
     _resolve_height,
     main,
 )
@@ -228,6 +230,27 @@ def test_overflow_exit_code(tmp_path):
     assert run(["flow", "--config", cfg, "--out", tmp_path / "f.csv"]) == EXIT_OVERFLOW
 
 
+def test_oracle_overflow_exit_code(tmp_path):
+    """A support value of 2**64 units at R = 2**20 exits 4, not with a traceback."""
+    cfg = write_config(
+        tmp_path, "c.json",
+        {
+            "seed": 1,
+            "distribution": {"kind": "bernoulli", "p": "0.5", "lo": 0, "hi": 2**44},
+            "n": 2, "height": 1, "lam": 1,
+        },
+    )
+    out = tmp_path / "o.csv"
+    assert run(["oracle", "--config", cfg, "--out", out]) == EXIT_OVERFLOW
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_config_schemas_are_valid(command):
+    """A run validates configs without re-checking its schema first."""
+    Draft202012Validator.check_schema(SCHEMAS[command])
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("command", ["psi", "nu"])
 def test_estimator_overflow_exit_code(tmp_path, command, d):
@@ -367,10 +390,20 @@ EXPONENTIAL = {"kind": "exponential", "rate": 1.0}
          "f996472d71a388867105b5852dc368f377db9cd4ca561a3bb1db0136a143fcb9"),
         ("tau", {"seed": 25, "distribution": EXPONENTIAL, "d": 3, "n": 3, "k_slab": 2},
          "c45fc709d33c6fc2a6b77fb300136fd1a582de0829e829088e7a9077923a8d53"),
+        ("oracle", {"seed": 31, "distribution": {**BERN, "p": "0.5"}, "n": 3, "height": 2,
+                    "lam": "1/3"},
+         "8b65370dd06275a635e90d668555e2cd7b3322681a4bacb855226efe44723b94"),
+        ("oracle", {"seed": 32, "distribution": {"kind": "finite_discrete",
+                                                 "atoms": [["0", "1/4"], ["1/3", "1/4"], ["1", "1/2"]]},
+                    "n": 2, "height": 2, "lam": "1/3", "resolution": 8},
+         "c312369f4e5c4a2eb12c0d1ba97e127607825624c863263e69d4d2e520bfb4b7"),
+        ("oracle", {"seed": 33, "distribution": BERN, "d": 3, "n": 2, "height": 1, "lam": "1/2"},
+         "4db28d8fea7510d43664d9e5a1190e002a2cc8cb47f702dea3ec7cf40646a111"),
     ],
 )
 def test_certificate_csv_golden(tmp_path, command, config, digest):
-    """The value and cut certificates the ``flow`` and ``tau`` commands print."""
+    """The value and cut certificates the ``flow`` and ``tau`` commands print,
+    and the exact probabilities of ``oracle``."""
     cfg = write_config(tmp_path, "c.json", config)
     out = tmp_path / f"{command}.csv"
     assert run([command, "--config", cfg, "--out", out]) == EXIT_OK

@@ -8,13 +8,14 @@ import pytest
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
+    CapacityOverflowError,
     DistributionSpec,
     derive_seed,
     discretize,
     sample_field,
     unit_count,
 )
-from latticeflow import cuts, estimators, flow, lattice
+from latticeflow import cuts, estimators, flow, lattice, verify
 from latticeflow.cuts import SlabProblem, tau_slab
 from latticeflow.estimators import (
     EnumerationBudgetError,
@@ -138,12 +139,11 @@ def test_estimators_build_no_edges(monkeypatch):
     def no_edge(self):
         raise AssertionError("an Edge was built")
 
-    for cache in (lattice.edges_in_box, cuts.uncuttable_edge_ids, flow._dual_adjacency, flow._contracted):
+    for cache in (cuts.uncuttable_edge_ids, flow._dual_adjacency, flow._contracted):
         cache.cache_clear()
     monkeypatch.setattr(lattice.Edge, "__post_init__", no_edge)
     estimate_psi_sweep(DistributionSpec.uniform(0, 1), [0.2, 0.4], 3, 4, 2**10, 20, seed=35)
     estimate_nu(DistributionSpec.exponential(1.0), 3, 2, 20, seed=35, d=3, workers=1)
-    assert lattice.edges_in_box.cache_info().misses == 0
 
 
 def test_estimators_build_no_fields(monkeypatch):
@@ -156,6 +156,39 @@ def test_estimators_build_no_fields(monkeypatch):
     for d in (2, 3):
         estimate_psi_sweep(DistributionSpec.uniform(0, 1), [0.2, 0.4], 2, 3, 2**10, 20, seed=36, d=d)
         estimate_nu(DistributionSpec.exponential(1.0), 2, 2, 20, seed=36, d=d)
+
+
+def test_verify_and_oracle_build_no_edges_or_fields(monkeypatch):
+    """``verify``'s oracles run on index arrays, and the exact oracle hands its
+    assignments to the row solver without building a field per assignment."""
+
+    def refuse(self):
+        raise AssertionError("an Edge or a CapacityField was built")
+
+    monkeypatch.setattr(lattice.Edge, "__post_init__", refuse)
+    assert all(r.passed for r in verify.run_all(38, 0.25))
+    monkeypatch.setattr(CapacityField, "__post_init__", refuse)
+    law = DistributionSpec.finite_discrete([("0", "1/4"), ("1/2", "1/4"), ("1", "1/2")])
+    for box in (BoxSpec((2,), 2), BoxSpec((2, 2), 1)):
+        assert 0 < exact_tail_probability(law, box, Fraction(1, 2)) < 1
+
+
+def test_exact_tail_block_size_invariance(monkeypatch):
+    """Blocks of any size, including a last partial one, give the same sum."""
+    law = DistributionSpec.finite_discrete([("0", "1/4"), ("1/2", "1/4"), ("1", "1/2")])
+    box = BoxSpec((2,), 2)
+    expected = exact_tail_probability(law, box, Fraction(1, 2))
+    for rows in (1, 7, 3**box.edge_count):
+        monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", rows * box.edge_count)
+        assert exact_tail_probability(law, box, Fraction(1, 2)) == expected
+
+
+def test_exact_tail_overflow():
+    box = BoxSpec((2,), 1)
+    # at R = 2**20, 2**44 is 2**64 units and 2**43 is 2**63; 2**42 fits, but a row's total does not
+    for hi in (2**44, 2**43, 2**42):
+        with pytest.raises(CapacityOverflowError):
+            exact_tail_probability(DistributionSpec.bernoulli("0.5", 0, hi), box, 1)
 
 
 @pytest.mark.parametrize("k_disc", [3, 2 * R])

@@ -21,9 +21,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
-
 from . import __version__
 from .capacity import (
     DEFAULT_RESOLUTION,
@@ -193,6 +190,77 @@ SCHEMAS = {
         },
     },
 }
+
+# The JSON Schema subset SCHEMAS is written in; the tests check ``_errors``
+# against jsonschema. An integer must be a real int: JSON Schema also counts
+# 3.0, which would end in a traceback or leak into a CSV. A bool is an int in
+# Python, but neither an integer nor a number in JSON.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+_KEYWORDS = {
+    "type", "required", "properties", "minimum", "exclusiveMinimum", "maximum",
+    "enum", "const", "oneOf", "allOf", "if", "then", "items", "minItems", "maxItems",
+}
+
+
+def _check_schema(schema: dict) -> None:
+    """Raise ValueError if ``schema`` uses a keyword or type ``_errors`` does not handle."""
+    types = schema.get("type", [])
+    if set(schema) - _KEYWORDS or not set([types] if isinstance(types, str) else types) <= set(_TYPES):
+        raise ValueError(f"unsupported schema keywords or types in {schema}")
+    nested = [*schema.get("properties", {}).values(), *schema.get("oneOf", ()), *schema.get("allOf", ())]
+    for sub in nested + [schema[k] for k in ("if", "then", "items") if k in schema]:
+        _check_schema(sub)
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: true is not 1."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _errors(schema: dict, value, path: str = "config"):
+    """Yield one message per way ``value`` breaks ``schema``."""
+    types = schema.get("type", [])
+    names = [types] if isinstance(types, str) else types
+    if names and not any(_TYPES[t](value) for t in names):
+        yield f"{path} must be of type {' or '.join(names)}, got {value!r}"
+        return  # no other keyword applies to a value of the wrong type
+    if "enum" in schema and not any(_equal(value, v) for v in schema["enum"]):
+        yield f"{path} must be one of {schema['enum']}, got {value!r}"
+    if "const" in schema and not _equal(value, schema["const"]):
+        yield f"{path} must be {schema['const']!r}, got {value!r}"
+    if _TYPES["number"](value) and (
+        value < schema.get("minimum", -math.inf) or value > schema.get("maximum", math.inf)
+        or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
+    ):
+        yield f"{path} is out of range, got {value!r}"
+    if isinstance(value, dict):
+        yield from (f"{path} lacks the key {k!r}" for k in schema.get("required", ()) if k not in value)
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                yield from _errors(sub, value[key], f"{path}.{key}")
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", math.inf):
+            yield f"{path} has {len(value)} items, too few or too many"
+        for i, item in enumerate(value):
+            yield from _errors(schema.get("items", {}), item, f"{path}[{i}]")
+    for sub in schema.get("allOf", ()):
+        yield from _errors(sub, value, path)
+    if "oneOf" in schema:
+        matches = sum(not any(_errors(sub, value, path)) for sub in schema["oneOf"])
+        if matches != 1:
+            yield f"{path} matches {matches} of its {len(schema['oneOf'])} alternatives, not one"
+    if "if" in schema and not any(_errors(schema["if"], value, path)):
+        yield from _errors(schema.get("then", {}), value, path)
+
+
+for _schema in SCHEMAS.values():
+    _check_schema(_schema)
 
 
 def _dec(x) -> str:
@@ -442,11 +510,9 @@ def _load_config(args) -> dict:
         config["seed"] = args.seed
     if args.out is not None:
         config["out"] = args.out
-    # the schemas are fixed, so they are checked against the metaschema by
-    # the tests rather than on every run, as ``jsonschema.validate`` would
-    err = best_match(Draft202012Validator(SCHEMAS[args.command]).iter_errors(config))
+    err = next(_errors(SCHEMAS[args.command], config), None)
     if err is not None:
-        raise ConfigError(f"config schema violation: {err.message}")
+        raise ConfigError(f"config schema violation: {err}")
     if args.command != "report" and "seed" not in config:
         raise ConfigError("a seed is mandatory (config key 'seed' or --seed)")
     return config

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -52,7 +52,10 @@ def _map_indices(fn, count: int, width: int, workers: int) -> list:
     if workers <= 1 or len(blocks) <= 1:
         parts = map(fn, blocks)
     else:
-        # a fork pool starts all its workers on the first submit
+        # imported here, since loading the pool machinery costs every run
+        # ~20 ms; a fork pool starts all its workers on the first submit
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             parts = list(pool.map(fn, blocks))
     return [value for part in parts for value in part]
@@ -239,7 +242,8 @@ def exact_tail_probability(
     and sums the exact assignment probabilities where the flow clears the
     threshold. The assignments are solved in blocks of rows by the same row
     solver as the Monte Carlo path, but nothing is sampled; intended for
-    tiny boxes.
+    tiny boxes. An assignment's probability depends only on how often each
+    atom occurs in it, so it is formed once per multiset of atoms hit.
     """
     if not dist.is_finite:
         raise ValueError("exact enumeration needs a finite-support law")
@@ -253,12 +257,13 @@ def exact_tail_probability(
     units = _unit_table(dist, resolution)
     threshold = math.ceil(lamf * box.base_area * resolution)
     assignments = itertools.product(range(s), repeat=m)
-    total = Fraction(0)
+    hits = Counter()  # sorted atom indices of a hit assignment -> count
     while block := list(itertools.islice(assignments, max(1, _BLOCK_ELEMENTS // m))):
-        for assign, value in zip(block, _values(box, units[np.array(block)], frozenset())):
-            if value >= threshold:
-                total += math.prod(dist.probs[j] for j in assign)
-    return total
+        rows = np.array(block)
+        hit = rows[np.array(_values(box, units[rows], frozenset())) >= threshold]
+        hits.update(map(tuple, np.sort(hit, axis=1).tolist()))
+    probs = (n * math.prod(dist.probs[j] for j in atoms) for atoms, n in hits.items())
+    return sum(probs, Fraction(0))
 
 
 @dataclass(eq=False)

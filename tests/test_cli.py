@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
+import latticeflow
 from latticeflow.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -208,6 +213,23 @@ def test_seed_past_64_bits_is_a_config_error(tmp_path, command, config):
     assert run([command, "--config", cfg, "--seed", 2**64, "--out", out]) == EXIT_CONFIG
     assert not out.exists()
     assert run([command, "--config", cfg, "--seed", 2**64 - 1, "--out", out]) == EXIT_OK
+
+
+PSI = {"seed": 1, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 3}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("samples", 3.0), ("height", 2.0), ("d", 2.0), ("seed", 1.0), ("n", 2.0),
+])
+def test_integral_float_in_integer_field_is_a_config_error(tmp_path, field, value):
+    """JSON Schema counts 3.0 as an integer; the CLI does not, since a float
+    count ends in a traceback or leaks into the CSV as ``2.0``."""
+    cfg = write_config(tmp_path, "c.json", {**PSI, field: value})
+    out = tmp_path / "psi.csv"
+    assert run(["psi", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    cfg = write_config(tmp_path, "c.json", {**PSI, field: int(value)})
+    assert run(["psi", "--config", cfg, "--out", out]) == EXIT_OK
 
 
 def test_budget_exceeded_exit_code(tmp_path):
@@ -445,3 +467,46 @@ def test_api_boundary_csv_golden(tmp_path, command, config, digest):
     out = tmp_path / f"{command}.csv"
     assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _python(code: str, *args) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports this latticeflow."""
+    src = str(Path(latticeflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    """A run pays for neither jsonschema nor the process pool unless it opens one."""
+    heavy = ["jsonschema", "concurrent.futures.process", "multiprocessing", "scipy"]
+    code = "import sys, latticeflow.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
+    assert _python(code, *heavy).strip() == "[]"
+
+
+def test_runs_need_no_jsonschema(tmp_path):
+    """With jsonschema unimportable, setup-size ``psi``, ``nu`` (through a
+    two-worker pool) and ``verify`` runs exit 0 with the CSVs of normal runs."""
+    configs = {
+        "psi": {"seed": 1, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5", "1"],
+                "samples": 5},
+        "nu": {"seed": 1, "distribution": {"kind": "exponential", "rate": 1.0}, "d": 3,
+               "n_list": [2], "k_slab": 1, "replications": 4, "workers": 2},
+        "verify": {"seed": 1, "scale": 0.0001},
+    }
+    argvs = []
+    for command, config in configs.items():
+        cfg = write_config(tmp_path, f"{command}.json", config)
+        argvs.append([command, "--config", cfg, "--out", str(tmp_path / f"blocked_{command}.csv")])
+        assert run([command, "--config", cfg, "--out", tmp_path / f"{command}.csv"]) == EXIT_OK
+    code = (
+        "import json, sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "from latticeflow.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))"
+    )
+    assert json.loads(_python(code, json.dumps(argvs))) == [EXIT_OK] * len(configs)
+    for command in configs:
+        blocked = (tmp_path / f"blocked_{command}.csv").read_bytes()
+        assert blocked == (tmp_path / f"{command}.csv").read_bytes()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 from fractions import Fraction
@@ -28,6 +29,7 @@ from latticeflow.estimators import (
 )
 from latticeflow.flow import max_flow
 from latticeflow.lattice import BoxSpec, RectSpec, edges_in_box
+from reference_flow import solve_min_cut
 
 R = DEFAULT_RESOLUTION
 BERN09 = DistributionSpec.bernoulli("0.9", 0, 1)
@@ -217,7 +219,7 @@ class RecordingPool:
 
 def test_pool_is_no_larger_than_the_block_count(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     dist = DistributionSpec.uniform(0, 1)
     serial = estimate_psi_sweep(dist, [0.3, 0.5], 2, 2, R, 3, seed=38)
     nu_serial = estimate_nu(dist, 2, 1, 3, seed=38)
@@ -315,6 +317,41 @@ def test_exact_tail_budget():
         exact_tail_probability(BERN09, BoxSpec((2,), 2), 1, budget=10)
     with pytest.raises(ValueError):
         exact_tail_probability(DistributionSpec.uniform(0, 1), BoxSpec((2,), 2), 1)
+
+
+def per_assignment_tail(dist, box, lams, resolution):
+    """The exact tail at each of ``lams``, summed one assignment at a time with
+    one probability product each, every assignment solved by the reference
+    Dinic: the oracle for ``exact_tail_probability``."""
+    units = [unit_count(v, resolution) for v in dist.support]
+    thresholds = [math.ceil(lam * box.base_area * resolution) for lam in lams]
+    totals = [Fraction(0)] * len(lams)
+    for assign in itertools.product(range(len(units)), repeat=box.edge_count):
+        caps = np.array([units[j] for j in assign], dtype=np.int64)
+        value, _ = solve_min_cut(box, CapacityField(box, resolution, caps))
+        prob = math.prod(dist.probs[j] for j in assign)
+        totals = [t + prob if value >= thr else t for t, thr in zip(totals, thresholds)]
+    return totals
+
+
+LAMS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+
+
+@pytest.mark.parametrize(
+    "dist, resolution",
+    [
+        (DistributionSpec.bernoulli("0.25", 0, 1), R),
+        (DistributionSpec.finite_discrete([("0", "1/4"), ("1/3", "1/4"), ("1", "1/2")]), 8),
+    ],
+)
+@pytest.mark.parametrize("box", [BoxSpec((2,), 2), BoxSpec((3,), 1), BoxSpec((2, 1), 1),
+                                 BoxSpec((2, 1), 2)])
+def test_exact_tail_matches_per_assignment_sum(dist, resolution, box):
+    """Counting hits per multiset of atoms gives the per-assignment sum exactly."""
+    expected = per_assignment_tail(dist, box, LAMS, resolution)
+    got = [exact_tail_probability(dist, box, lam, resolution=resolution) for lam in LAMS]
+    assert got == expected
+    assert 0 < got[2] < 1
 
 
 def test_exact_tail_agrees_with_monte_carlo():

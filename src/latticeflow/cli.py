@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,7 +180,7 @@ SCHEMAS = {
     },
     "verify": {
         "type": "object",
-        "properties": {**_COMMON, "scale": {"type": "number", "exclusiveMinimum": 0}},
+        "properties": {**_COMMON, "scale": {"type": "number", "exclusiveMinimum": 0, "maximum": 10**6}},
     },
     "report": {
         "type": "object",
@@ -192,15 +193,15 @@ SCHEMAS = {
 }
 
 # The JSON Schema subset SCHEMAS is written in; the tests check ``_errors``
-# against jsonschema. An integer must be a real int: JSON Schema also counts
-# 3.0, which would end in a traceback or leak into a CSV. A bool is an int in
-# Python, but neither an integer nor a number in JSON.
+# against jsonschema. An integer must be a real int (JSON Schema also counts
+# 3.0) and a number finite (Python's json reads Infinity and NaN); a bool is
+# neither. Each would end in a traceback, dodge a bound or leak into a CSV.
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": lambda v: _TYPES["integer"](v) or isinstance(v, float) and math.isfinite(v),
 }
 _KEYWORDS = {
     "type", "required", "properties", "minimum", "exclusiveMinimum", "maximum",
@@ -379,7 +380,7 @@ def _run_nu(config, workers):
     return [
         "d", "n", "k_slab", "replications", "seed", "resolution",
         "mean_num", "mean_den", "mean", "stderr",
-    ], rows
+    ], rows, {"value_solver": value_solver(d)}
 
 
 def _run_psi(config, workers):
@@ -390,9 +391,10 @@ def _run_psi(config, workers):
     h = _resolve_height(config["height"], n)
     k_disc = _k_disc(config, r)
     lams = [_lam(l) for l in config["lambdas"]]
+    tally = Counter()
     estimates = estimate_psi_sweep(
         dist, lams, n, h, k_disc, config["samples"], config["seed"],
-        d=d, resolution=r, workers=workers,
+        d=d, resolution=r, workers=workers, tally=tally,
     )
     rows = []
     for e in estimates:
@@ -405,7 +407,7 @@ def _run_psi(config, workers):
     return [
         "lam", "lam_exact", "d", "n", "h", "k_disc", "samples", "hits",
         "hit_rate", "psi_hat", "psi_ci_lo", "psi_ci_hi", "infinite_flag", "seed",
-    ], rows
+    ], rows, {"value_solver": value_solver(d), "solver_counts": dict(tally)}
 
 
 def _run_oracle(config, workers):
@@ -416,16 +418,17 @@ def _run_oracle(config, workers):
     r = _resolution(config)
     box = _box(config)
     lam = _lam(config["lam"])
+    tally = Counter()
     prob = exact_tail_probability(
         dist, box, lam,
-        resolution=r, budget=config.get("budget", 2**24),
+        resolution=r, budget=config.get("budget", 2**24), tally=tally,
     )
     rows = [[d, config["n"], config["height"], _dec(lam), r,
              prob.numerator, prob.denominator, _dec(prob)]]
     return [
         "d", "n", "height", "lam", "resolution",
         "probability_num", "probability_den", "probability",
-    ], rows
+    ], rows, {"value_solver": value_solver(d), "solver_counts": dict(tally)}
 
 
 def _run_verify(config, workers):
@@ -463,7 +466,7 @@ _RUNNERS = {
 }
 
 
-def _write_outputs(out: Path, command: str, config: dict, workers: int, header, rows) -> None:
+def _write_outputs(out: Path, command: str, config: dict, workers: int, header, rows, meta=None) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -476,8 +479,7 @@ def _write_outputs(out: Path, command: str, config: dict, workers: int, header, 
         "seed": config.get("seed"),
         "workers": workers,
     }
-    if command in ("psi", "nu", "oracle"):
-        sidecar["value_solver"] = value_solver(config.get("d", 2))
+    sidecar.update(meta or {})
     with open(str(out) + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -541,7 +543,7 @@ def main(argv=None) -> int:
 
     out = Path(config.get("out", f"{args.command}.csv"))
     try:
-        header, rows = _RUNNERS[args.command](config, workers)
+        header, rows, *meta = _RUNNERS[args.command](config, workers)
     except ConfigError as err:
         print(f"latticeflow: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -555,7 +557,7 @@ def main(argv=None) -> int:
         print(f"latticeflow: error: {err}", file=sys.stderr)
         return EXIT_ERROR
 
-    _write_outputs(out, args.command, config, workers, header, rows)
+    _write_outputs(out, args.command, config, workers, header, rows, *meta)
     if args.command == "verify":
         failures = [row for row in rows if row[3] != "pass"]
         if failures:

@@ -27,7 +27,7 @@ from .capacity import (
     sample_block,
 )
 from .cuts import uncuttable_edge_ids
-from .flow import _values
+from .flow import _reached, _values
 from .lattice import BoxSpec, RectSpec
 
 
@@ -41,7 +41,7 @@ _BLOCK_ELEMENTS = 2**14
 
 
 def _map_indices(fn, count: int, width: int, workers: int) -> list:
-    """``fn(block)`` over consecutive index blocks of range(count), concatenated.
+    """``fn(block)`` over consecutive index blocks of range(count), in block order.
 
     A block holds at most _BLOCK_ELEMENTS // width replicas of ``width``
     edges each, and there are at least workers * 8 blocks when count allows,
@@ -58,16 +58,16 @@ def _map_indices(fn, count: int, width: int, workers: int) -> list:
 
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             parts = list(pool.map(fn, blocks))
-    return [value for part in parts for value in part]
+    return list(parts)
 
 
-def _block_values(box, never_cut, k_disc, dist, resolution, seed, block: range) -> list[int]:
-    """``min_cut_value`` of replicas ``block`` on ``box``, with every sampled
-    capacity floored to the 1/k_disc grid."""
+def _block_solve(solve, box, arg, k_disc, dist, resolution, seed, block: range):
+    """``solve(box, rows, arg)`` on the capacity rows of replicas ``block`` on
+    ``box``, with every sampled capacity floored to the 1/k_disc grid."""
     step = _level_step(k_disc, resolution)
     rows = sample_block(box, dist, resolution, derive_seeds(seed, block))
     rows -= rows % step
-    return _values(box, rows, never_cut)
+    return solve(box, rows, arg)
 
 
 def wilson_interval(hits: int, samples: int, z: float = 1.96) -> tuple[float, float]:
@@ -119,8 +119,8 @@ def estimate_nu(
     base = RectSpec.cube(n, d)
     slab = base.slab_box(k_slab)
     never_cut = uncuttable_edge_ids(base, k_slab)
-    fn = partial(_block_values, slab, never_cut, resolution, dist, resolution, seed)
-    taus = _map_indices(fn, replications, slab.edge_count, workers)
+    fn = partial(_block_solve, _values, slab, never_cut, resolution, dist, resolution, seed)
+    taus = [t for part in _map_indices(fn, replications, slab.edge_count, workers) for t in part]
     denom = base.area * resolution
     mean = Fraction(sum(taus), replications * denom)
     if replications > 1:
@@ -174,12 +174,14 @@ def estimate_psi_sweep(
     resolution: int = DEFAULT_RESOLUTION,
     z: float = 1.96,
     workers: int = 1,
+    tally: Counter | None = None,
 ) -> list[PsiEstimate]:
     """Tail estimates over a lam grid from one shared set of replicas.
 
     Identical to calling ``estimate_psi`` per lam with the same seed: the
     replica fields depend only on (seed, index), so sharing them is free and
-    keeps the whole curve consistent replica by replica.
+    keeps the whole curve consistent replica by replica. ``tally``, if given,
+    counts the replicas ``flow._reached`` decided by its bounds and solved.
     """
     if samples < 1 or h < 1:
         raise ValueError("samples and h must be >= 1")
@@ -189,12 +191,16 @@ def estimate_psi_sweep(
     area = n ** (d - 1)
     thresholds = [math.ceil(l * area * resolution) for l in lamfs]
     box = BoxSpec((n,) * (d - 1), h)
-    fn = partial(_block_values, box, frozenset(), k_disc, dist, resolution, seed)
-    flows = _map_indices(fn, samples, box.edge_count, workers)
+    grid = sorted(set(thresholds))
+    fn = partial(_block_solve, _reached, box, grid, k_disc, dist, resolution, seed)
+    reached, solved = zip(*_map_indices(fn, samples, box.edge_count, workers))
+    if tally is not None:
+        tally.update(decided_by_bounds=samples - sum(solved), solved=sum(solved))
+    reached = np.concatenate(reached)
     volume = area * h
     out = []
     for lamf, thr in zip(lamfs, thresholds):
-        hits = sum(1 for v in flows if v >= thr)
+        hits = int(np.count_nonzero(reached > grid.index(thr)))  # reaching grid[j] = reaching > j
         if hits > 0:
             psi = -math.log(hits / samples) / volume + 0.0  # avoid -0.0
             infinite = False
@@ -234,6 +240,7 @@ def exact_tail_probability(
     *,
     resolution: int = DEFAULT_RESOLUTION,
     budget: int = 2**24,
+    tally: Counter | None = None,
 ) -> Fraction:
     """P[flow >= lam * base_area] by exhaustive enumeration, exact rational.
 
@@ -244,6 +251,7 @@ def exact_tail_probability(
     solver as the Monte Carlo path, but nothing is sampled; intended for
     tiny boxes. An assignment's probability depends only on how often each
     atom occurs in it, so it is formed once per multiset of atoms hit.
+    ``tally``, if given, counts the assignments decided by bounds and solved.
     """
     if not dist.is_finite:
         raise ValueError("exact enumeration needs a finite-support law")
@@ -260,8 +268,10 @@ def exact_tail_probability(
     hits = Counter()  # sorted atom indices of a hit assignment -> count
     while block := list(itertools.islice(assignments, max(1, _BLOCK_ELEMENTS // m))):
         rows = np.array(block)
-        hit = rows[np.array(_values(box, units[rows], frozenset())) >= threshold]
-        hits.update(map(tuple, np.sort(hit, axis=1).tolist()))
+        reached, solved = _reached(box, units[rows], [threshold])
+        if tally is not None:
+            tally.update(decided_by_bounds=len(rows) - solved, solved=solved)
+        hits.update(map(tuple, np.sort(rows[reached > 0], axis=1).tolist()))
     probs = (n * math.prod(dist.probs[j] for j in atoms) for atoms, n in hits.items())
     return sum(probs, Fraction(0))
 

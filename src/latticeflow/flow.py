@@ -12,7 +12,11 @@ finite cut keeps each merged class on one side, so minimum cuts are
 unchanged, and the smaller graph has only finite arcs. ``min_cut_value``
 returns the value alone, ``min_cut`` the minimum cut with the smallest
 source side, and ``max_flow`` also a realising stream. On d=2 boxes the
-value alone is a shortest path in the planar dual instead.
+value alone is a shortest path in the planar dual instead. Whether a flow
+reaches a threshold often needs no solve: the disjoint straight columns
+carry the sum of their minima, and each layer of vertical edges is a cut.
+``_reached`` solves only the rows these bounds leave open, capped at the
+largest threshold the row's upper bound reaches.
 
 Edges may carry an explicit "never cut" marker instead of a finite capacity;
 the solver merges the ends of such edges, which is how the pinned-boundary
@@ -145,15 +149,15 @@ def _dual_adjacency(
     return _grouped(_interleave(u, v), _interleave(v, u), np.repeat(kept, 2), 2 + (k - 1) * height)
 
 
-def _dual_value(adj: tuple, caps: list[int]) -> int:
-    """Cheapest left-to-right path through the ``_dual_adjacency`` graph ``adj``."""
+def _dual_value(adj: tuple, caps: list[int], limit=math.inf) -> int:
+    """Cheapest left-to-right path through the ``_dual_adjacency`` graph ``adj``, capped at ``limit``."""
     dist = [math.inf] * len(adj)
     dist[_LEFT] = 0
     heap = [(0, _LEFT)]
     while heap:
         d, v = heappop(heap)
-        if v == _RIGHT:
-            return d
+        if v == _RIGHT or d >= limit:  # popped distances never decrease
+            return min(d, limit)
         if d > dist[v]:
             continue
         for w, e in adj[v]:
@@ -214,12 +218,13 @@ def _contracted(
     return nbrs, arcs
 
 
-def _contracted_flow(nbrs: tuple, cap: list[int]) -> int:
+def _contracted_flow(nbrs: tuple, cap: list[int], limit=math.inf) -> int:
     """Dinic on the ``_contracted`` graph ``nbrs``, whose arcs are all finite.
 
     ``cap[a]`` is the capacity of arc ``a``. Returns the maximal flow value
     and leaves ``cap`` holding the residual capacities; arc ``a`` then
-    carries ``(cap[a ^ 1] - cap[a]) // 2`` units along its direction.
+    carries ``(cap[a ^ 1] - cap[a]) // 2`` units along its direction. Once
+    the value reaches ``limit``, it stops and returns ``limit`` instead.
 
     Each phase labels nodes by residual distance to the sink, with a
     breadth-first search from the sink that stops at the source's level, so
@@ -269,6 +274,8 @@ def _contracted_flow(nbrs: tuple, cap: list[int]) -> int:
                 continue
             push = min([cap[a] for a in path])
             value += push
+            if value >= limit:
+                return limit
             for a in path:
                 cap[a] -= push
                 cap[a ^ 1] += push
@@ -281,15 +288,36 @@ def value_solver(d: int) -> str:
     return "planar_dual" if d == 2 else "contracted_dinic"
 
 
-def _values(box: BoxSpec, rows: np.ndarray, never_cut: frozenset[int]) -> list[int]:
+def _values(box: BoxSpec, rows: np.ndarray, never_cut: frozenset[int], limits=None) -> list[int]:
     """``min_cut_value`` of each row of a (replicas, edges) int64 array of
-    non-negative capacities on ``box``, turned into Python ints row by row."""
+    non-negative capacities on ``box``, capped at ``limits[i]`` for row i if given."""
     _check_totals(rows)
+    limits = limits or [math.inf] * len(rows)
     if value_solver(box.d) == "planar_dual":
         adj = _dual_adjacency(box.dims, box.height, never_cut)
-        return [_dual_value(adj, row.tolist()) for row in rows]
+        return [_dual_value(adj, row.tolist(), lim) for row, lim in zip(rows, limits)]
     nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
-    return [_contracted_flow(nbrs, row[arc_edge].tolist()) for row in rows]
+    return [_contracted_flow(nbrs, row[arc_edge].tolist(), lim) for row, lim in zip(rows, limits)]
+
+
+def _bounds(box: BoxSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flow bounds of each row: the sum of column minima, the lightest layer of vertical edges."""
+    tail, head = edge_ends(box.dims, box.height)
+    columns = rows[:, head == tail + 1].reshape(len(rows), box.base_area, box.height)
+    return columns.min(axis=2).sum(axis=1), columns.sum(axis=1).min(axis=1)
+
+
+def _reached(box: BoxSpec, rows: np.ndarray, thresholds: list[int]) -> tuple[np.ndarray, int]:
+    """How many of the sorted ``thresholds`` the ``min_cut_value`` of each row
+    reaches, and how many rows needed a solve; see the module docstring."""
+    _check_totals(rows)
+    # no row total exceeds MAX_TOTAL_UNITS now, so no flow reaches a larger threshold
+    grid = np.array([t for t in thresholds if t <= MAX_TOTAL_UNITS], dtype=np.int64)
+    counts, top = np.searchsorted(grid, _bounds(box, rows), side="right")
+    undecided = np.flatnonzero(counts < top)
+    capped = _values(box, rows[undecided], frozenset(), grid[top[undecided] - 1].tolist())
+    counts[undecided] = np.searchsorted(grid, capped, side="right")
+    return counts, len(undecided)
 
 
 def min_cut_value(

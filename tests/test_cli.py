@@ -232,6 +232,50 @@ def test_integral_float_in_integer_field_is_a_config_error(tmp_path, field, valu
     assert run(["psi", "--config", cfg, "--out", out]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("verify", {"scale": math.inf}),
+        ("verify", {"scale": 1e308}),
+        ("verify", {"scale": math.nan}),
+        ("verify", {"scale": -math.inf}),
+        ("psi", {**PSI, "distribution": {"kind": "exponential", "rate": math.inf}}),
+        ("psi", {**PSI, "distribution": {"kind": "half_normal", "sigma": math.nan}}),
+        ("psi", {**PSI, "lambdas": ["0.5", math.inf]}),
+    ],
+)
+def test_non_finite_or_huge_number_is_a_config_error(tmp_path, command, config):
+    """Python's json reads Infinity and NaN. A scale of inf or 1e308 ended in
+    an OverflowError traceback, NaN exited 1, and an infinite rate sampled an
+    all-zero law."""
+    cfg = write_config(tmp_path, "c.json", {"seed": 1, **config})
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, digest",
+    [
+        ("psi", {"distribution": BERN, "n": 2, "height": 2, "samples": 40,
+                 "lambdas": ["1e30", "0.5", 1e30, "99999999999999999999"]},
+         "5cbfa40d97466a340d68f333a3a54c1a29b884a512bce3bbd40833d318346089"),
+        ("psi", {"distribution": {"kind": "uniform", "a": 0, "b": 1}, "d": 3, "n": 2,
+                 "height": 2, "samples": 40, "lambdas": ["1e30", "0.25"]},
+         "84bec5ec3fa958012a04d19fa80abad87412d21d5846c181b765b198eb70de6f"),
+        ("oracle", {"distribution": BERN, "n": 2, "height": 2, "lam": "1e30"},
+         "b9ef83e41be49995b7c21563fc2c54044a5bb2695807eda1e2cc541d03b248d4"),
+    ],
+)
+def test_unreachable_lambdas_miss(tmp_path, command, config, digest):
+    """Thresholds past 2^63 units, which no flow reaches, give the CSVs that
+    comparing each flow with them did."""
+    cfg = write_config(tmp_path, "c.json", {"seed": 3, **config})
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_budget_exceeded_exit_code(tmp_path):
     cfg = write_config(
         tmp_path, "c.json",
@@ -392,6 +436,25 @@ def test_sidecar_names_value_solver(tmp_path):
         meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
         assert meta["value_solver"] == solver
         assert solver not in out.read_text()
+
+
+def test_sidecar_counts_bound_decisions(tmp_path):
+    """The psi and oracle sidecars count the replicas or assignments the flow
+    bounds decided and those solved; the CSV holds neither."""
+    configs = {
+        "psi": {"seed": 14, "distribution": BERN, "n": 2, "height": 2,
+                "lambdas": ["0.5", "1", "0.75"], "samples": 300},
+        "oracle": {"seed": 14, "distribution": {**BERN, "p": "0.5"}, "n": 3, "height": 2,
+                   "lam": "1/3"},
+    }
+    for (command, config), rows in zip(configs.items(), (300, 2**10)):
+        cfg = write_config(tmp_path, f"{command}.json", config)
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
+        counts = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())["solver_counts"]
+        assert counts["decided_by_bounds"] + counts["solved"] == rows
+        assert counts["decided_by_bounds"] > 0 and counts["solved"] > 0
+        assert "solved" not in out.read_text()
 
 
 UNIFORM = {"kind": "uniform", "a": 0, "b": 1}

@@ -4,6 +4,8 @@
 Mutated valid configs for every command must be rejected by it exactly when
 a draft 2020-12 validator rejects them. The oracle counts only a real int as
 an ``integer``: JSON Schema also counts 3.0, which the CLI rejects on purpose.
+It counts only a finite value as a ``number``: JSON Schema also counts
+infinities and NaN, which Python's json reads and the CLI rejects on purpose.
 """
 
 import copy
@@ -18,9 +20,11 @@ from latticeflow.cli import SCHEMAS, _check_schema, _errors
 
 StrictValidator = validators.extend(
     Draft202012Validator,
-    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
-    ),
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
+        "number": lambda _, v: isinstance(v, int) and not isinstance(v, bool)
+        or isinstance(v, float) and math.isfinite(v),
+    }),
 )
 
 LAWS = [
@@ -139,8 +143,9 @@ def test_valid_configs_pass_and_messages_name_the_field():
 ])
 @pytest.mark.parametrize("value", [True, False, 0, 1, 1.0, "R", 2**64, -math.inf, math.inf, math.nan])
 def test_scalar_keywords_agree_with_jsonschema(schema, value):
-    """true is not 1, and infinities and NaN meet bounds as in jsonschema; no
-    schema of the CLI puts a number or a bool in ``enum`` or ``const`` yet."""
+    """true is not 1, and infinities and NaN are no numbers, so no bound
+    applies to them; no schema of the CLI puts a number or a bool in ``enum``
+    or ``const`` yet."""
     assert (not any(_errors(schema, value))) == StrictValidator(schema).is_valid(value)
 
 

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter, defaultdict, deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from reference_flow import solve_min_cut
 from reference_lattice import box_vertices, edge_ids
 
-from latticeflow import cuts, flow, lattice
+from latticeflow import cuts, estimators, flow, lattice
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
@@ -579,3 +580,56 @@ def test_cache_stays_bounded(many_shapes_solved, name):
     info = BOUNDED_CACHES[name].cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     assert info.misses > info.maxsize  # the shapes did overflow the bound
+
+
+@given(
+    d=st.integers(2, 4),
+    n=st.integers(1, 3),
+    h=st.integers(1, 3),
+    law=st.sampled_from(LAWS),
+    seed=st.integers(0, 2**32),
+    k_disc=st.sampled_from([R, 4]),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9]),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_threshold_bounds_and_capped_solves(d, n, h, law, seed, k_disc, zero_share, data):
+    """The column and layer bounds bracket the reference flow, both solvers
+    capped at ``limit`` return ``min(value, limit)``, ``_reached`` counts the
+    thresholds each value reaches, and ``estimate_psi_sweep`` gets the same
+    hits as counting ``_values`` over unsorted, repeated and unreachable lams."""
+    box = BoxSpec((min(n, 2) if d == 4 else n,) * (d - 1), h)
+    rows = estimators._block_solve(
+        lambda box, rows, arg: rows, box, None, k_disc, law, R, seed, range(5)
+    )
+    zeros = np.random.Generator(np.random.Philox(key=seed)).random(rows.shape) < zero_share
+    zeroed = np.where(zeros, 0, rows)
+    values = [solve_min_cut(box, CapacityField(box, R, row))[0] for row in zeroed]
+    assert flow._values(box, zeroed, frozenset()) == values
+    lower, upper = (b.tolist() for b in flow._bounds(box, zeroed))
+    assert all(lo <= v <= up for lo, v, up in zip(lower, values, upper))
+
+    nbrs, arc_edge = flow._contracted(box.dims, h, frozenset())
+    for row, v, lo, up in zip(zeroed, values, lower, upper):
+        for limit in {0, lo, max(v - 1, 0), v, v + 1, up}:
+            assert flow._contracted_flow(nbrs, row[arc_edge].tolist(), limit) == min(v, limit)
+            if d == 2:
+                adj = flow._dual_adjacency(box.dims, h, frozenset())
+                assert flow._dual_value(adj, row.tolist(), limit) == min(v, limit)
+
+    thresholds = sorted({0, 2**63 - 1, 2**63, 2**70, *lower, *upper, *values,
+                         *(v + 1 for v in values)})
+    counts, solved = flow._reached(box, zeroed, thresholds)
+    assert counts.tolist() == [sum(v >= t for t in thresholds) for v in values]
+    assert 0 <= solved <= len(values)
+
+    flows = flow._values(box, rows, frozenset())
+    picks = data.draw(st.lists(st.sampled_from([0, 2**70, *flows, *(v + 1 for v in flows)]),
+                               min_size=1, max_size=6))
+    lams = [Fraction(t, box.base_area * R) for t in picks]
+    tally = Counter()
+    sweep = estimators.estimate_psi_sweep(
+        law, lams, box.dims[0], h, k_disc, len(rows), seed, d=d, tally=tally
+    )
+    assert [e.hits for e in sweep] == [sum(v >= t for v in flows) for t in picks]
+    assert tally["decided_by_bounds"] + tally["solved"] == len(rows)

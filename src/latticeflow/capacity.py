@@ -184,14 +184,11 @@ class CapacityField:
     """One capacity per edge of a box, in integer 1/resolution units.
 
     Immutable after construction; the backing array is write-locked.
-    ``seed`` records the seed the field was sampled with (None for derived
-    or hand-built fields).
     """
 
     box: BoxSpec
     resolution: int
     caps: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.resolution):
@@ -383,7 +380,7 @@ def sample_field(
 ) -> CapacityField:
     """One independent capacity draw per edge, floored onto the 1/R grid."""
     caps = sample_block(box, dist, resolution, [seed])[0]
-    return CapacityField(box, resolution, caps, seed=seed)
+    return CapacityField(box, resolution, caps)
 
 
 def _level_step(k: int, resolution: int) -> int:
@@ -402,4 +399,4 @@ def _level_step(k: int, resolution: int) -> int:
 def discretize(field: CapacityField, k: int) -> CapacityField:
     """Round capacities down to multiples of 1/k; the resolution is unchanged."""
     step = _level_step(k, field.resolution)
-    return CapacityField(field.box, field.resolution, field.caps - field.caps % step, seed=field.seed)
+    return CapacityField(field.box, field.resolution, field.caps - field.caps % step)

@@ -56,6 +56,7 @@ class ConfigError(ValueError):
 
 
 _NUMBER = {"type": ["number", "string"]}
+_POSITIVE = {"type": "integer", "minimum": 1}
 
 _DISTRIBUTION_FIELDS = {
     "bernoulli": ["p"],
@@ -90,7 +91,7 @@ _DISTRIBUTION_SCHEMA = {
 
 _HEIGHT_SCHEMA = {
     "oneOf": [
-        {"type": "integer", "minimum": 1},
+        _POSITIVE,
         {
             "type": "object",
             "required": ["rule", "coeff"],
@@ -105,91 +106,44 @@ _HEIGHT_SCHEMA = {
 _COMMON = {
     "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
     "out": {"type": "string"},
-    "workers": {"type": "integer", "minimum": 1},
-    "resolution": {"type": "integer", "minimum": 1},
+    "workers": _POSITIVE,
+    "resolution": _POSITIVE,
     "d": {"type": "integer", "minimum": 2},
 }
 
+# The law and the box of side n and height that ``sample``, ``flow``,
+# ``psi`` and ``oracle`` read; ``flow`` and ``psi`` may coarsen to 1/k_disc.
+_BOX = {"distribution": _DISTRIBUTION_SCHEMA, "n": _POSITIVE, "height": _POSITIVE}
+_K_DISC = {"oneOf": [_POSITIVE, {"const": "R"}]}
+
+
+def _command(*required: str, **properties) -> dict:
+    """A command's config object: the common keys and ``properties``, of which
+    ``required`` must be present."""
+    return {"type": "object", **({"required": list(required)} if required else {}),
+            "properties": {**_COMMON, **properties}}
+
+
 SCHEMAS = {
-    "sample": {
-        "type": "object",
-        "required": ["distribution", "n", "height"],
-        "properties": {
-            **_COMMON,
-            "distribution": _DISTRIBUTION_SCHEMA,
-            "n": {"type": "integer", "minimum": 1},
-            "height": {"type": "integer", "minimum": 1},
-        },
-    },
-    "flow": {
-        "type": "object",
-        "required": ["distribution", "n", "height"],
-        "properties": {
-            **_COMMON,
-            "distribution": _DISTRIBUTION_SCHEMA,
-            "n": {"type": "integer", "minimum": 1},
-            "height": {"type": "integer", "minimum": 1},
-            "k_disc": {"oneOf": [{"type": "integer", "minimum": 1}, {"const": "R"}]},
-        },
-    },
-    "tau": {
-        "type": "object",
-        "required": ["distribution", "n", "k_slab"],
-        "properties": {
-            **_COMMON,
-            "distribution": _DISTRIBUTION_SCHEMA,
-            "n": {"type": "integer", "minimum": 1},
-            "k_slab": {"type": "integer", "minimum": 1},
-        },
-    },
-    "nu": {
-        "type": "object",
-        "required": ["distribution", "n_list", "k_slab", "replications"],
-        "properties": {
-            **_COMMON,
-            "distribution": _DISTRIBUTION_SCHEMA,
-            "n_list": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-            "k_slab": {"oneOf": [{"type": "integer", "minimum": 1}, {"const": "n"}]},
-            "replications": {"type": "integer", "minimum": 1},
-        },
-    },
-    "psi": {
-        "type": "object",
-        "required": ["distribution", "n", "height", "lambdas", "samples"],
-        "properties": {
-            **_COMMON,
-            "distribution": _DISTRIBUTION_SCHEMA,
-            "n": {"type": "integer", "minimum": 1},
-            "height": _HEIGHT_SCHEMA,
-            "k_disc": {"oneOf": [{"type": "integer", "minimum": 1}, {"const": "R"}]},
-            "lambdas": {"type": "array", "items": _NUMBER, "minItems": 1},
-            "samples": {"type": "integer", "minimum": 1},
-        },
-    },
-    "oracle": {
-        "type": "object",
-        "required": ["distribution", "n", "height", "lam"],
-        "properties": {
-            **_COMMON,
-            "distribution": _DISTRIBUTION_SCHEMA,
-            "n": {"type": "integer", "minimum": 1},
-            "height": {"type": "integer", "minimum": 1},
-            "lam": _NUMBER,
-            "budget": {"type": "integer", "minimum": 1},
-        },
-    },
-    "verify": {
-        "type": "object",
-        "properties": {**_COMMON, "scale": {"type": "number", "exclusiveMinimum": 0, "maximum": 10**6}},
-    },
-    "report": {
-        "type": "object",
-        "required": ["inputs"],
-        "properties": {
-            **_COMMON,
-            "inputs": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        },
-    },
+    "sample": _command(*_BOX, **_BOX),
+    "flow": _command(*_BOX, **_BOX, k_disc=_K_DISC),
+    "tau": _command("distribution", "n", "k_slab",
+                    distribution=_DISTRIBUTION_SCHEMA, n=_POSITIVE, k_slab=_POSITIVE),
+    "nu": _command(
+        "distribution", "n_list", "k_slab", "replications",
+        distribution=_DISTRIBUTION_SCHEMA,
+        n_list={"type": "array", "items": _POSITIVE, "minItems": 1},
+        k_slab={"oneOf": [_POSITIVE, {"const": "n"}]},
+        replications=_POSITIVE,
+    ),
+    "psi": _command(
+        *_BOX, "lambdas", "samples",
+        **{**_BOX, "height": _HEIGHT_SCHEMA}, k_disc=_K_DISC,
+        lambdas={"type": "array", "items": _NUMBER, "minItems": 1}, samples=_POSITIVE,
+    ),
+    "oracle": _command(*_BOX, "lam", **_BOX, lam=_NUMBER, budget=_POSITIVE),
+    "verify": _command(scale={"type": "number", "exclusiveMinimum": 0, "maximum": 10**6}),
+    "report": _command("inputs", inputs={"type": "array", "items": {"type": "string"}, "minItems": 1}),
 }
 
 # The JSON Schema subset SCHEMAS is written in; the tests check ``_errors``
@@ -274,8 +228,6 @@ def _resolve_height(height, n: int) -> int:
     if isinstance(height, int):
         return height
     bases = {"const": 1, "log": math.ceil(math.log(max(n, 2))), "linear": n}
-    if height["rule"] not in bases:
-        raise ConfigError(f"unknown height rule {height['rule']!r}")
     return max(1, math.ceil(_parse(as_fraction, height["coeff"]) * bases[height["rule"]]))
 
 
@@ -294,9 +246,31 @@ def _lam(value) -> Fraction:
     return lam
 
 
-def _box(config) -> BoxSpec:
-    d = config.get("d", 2)
-    return BoxSpec((config["n"],) * (d - 1), config["height"])
+def _law(config) -> tuple[DistributionSpec, int, int]:
+    """The capacity law, the dimension d and the resolution R of a run."""
+    dist = _parse(DistributionSpec.from_json, config["distribution"])
+    r = config.get("resolution", DEFAULT_RESOLUTION)
+    if not is_power_of_two(r):
+        raise ConfigError("resolution must be a power of two")
+    return dist, config.get("d", 2), r
+
+
+# One float64 uniform per edge and replica row: 2^24 edges make 128 MiB a
+# row. The largest shape measured so far, 256x256, has 130 816 edges.
+MAX_SAMPLED_EDGES = 2**24
+
+
+def _box(d: int, n: int, height=None, k_slab=None, sampled: bool = True) -> BoxSpec:
+    """The box of side ``n`` and ``height`` (an int or a rule), or the slab of
+    half-height ``k_slab`` (an int or ``"n"``). A sampled box with more than
+    MAX_SAMPLED_EDGES edges is a config error."""
+    if k_slab is None:
+        box = BoxSpec((n,) * (d - 1), _resolve_height(height, n))
+    else:
+        box = RectSpec.cube(n, d).slab_box(n if k_slab == "n" else k_slab)
+    if sampled and box.edge_count > MAX_SAMPLED_EDGES:
+        raise ConfigError("the box has more than 2**24 edges, too many to sample")
+    return box
 
 
 def _k_disc(config, resolution: int) -> int:
@@ -308,17 +282,9 @@ def _k_disc(config, resolution: int) -> int:
     return k
 
 
-def _resolution(config) -> int:
-    r = config.get("resolution", DEFAULT_RESOLUTION)
-    if not is_power_of_two(r):
-        raise ConfigError("resolution must be a power of two")
-    return r
-
-
 def _run_sample(config, workers):
-    dist = _parse(DistributionSpec.from_json, config["distribution"])
-    box = _box(config)
-    r = _resolution(config)
+    dist, d, r = _law(config)
+    box = _box(d, config["n"], config["height"])
     field = sample_field(box, dist, r, config["seed"])
     rows = []
     for i, e in enumerate(edges_in_box(box)):
@@ -328,15 +294,13 @@ def _run_sample(config, workers):
 
 
 def _run_flow(config, workers):
-    dist = _parse(DistributionSpec.from_json, config["distribution"])
-    box = _box(config)
-    r = _resolution(config)
+    dist, d, r = _law(config)
+    box = _box(d, config["n"], config["height"])
     field = sample_field(box, dist, r, config["seed"])
     k_disc = _k_disc(config, r)
     if k_disc != r:
         field = discretize(field, k_disc)
     res = max_flow(box, field)
-    d = config.get("d", 2)
     rows = [[
         d, config["n"], config["height"], config["seed"], r, k_disc,
         res.value, _dec(Fraction(res.value, r)),
@@ -350,25 +314,20 @@ def _run_flow(config, workers):
 
 
 def _run_tau(config, workers):
-    dist = _parse(DistributionSpec.from_json, config["distribution"])
-    d = config.get("d", 2)
-    r = _resolution(config)
-    base = RectSpec.cube(config["n"], d)
-    k = config["k_slab"]
-    field = sample_field(base.slab_box(k), dist, r, config["seed"])
-    value, cut = tau_slab(SlabProblem(base, k, field))
-    rows = [[d, config["n"], k, config["seed"], r, value, _dec(Fraction(value, r)),
-             len(cut.edge_ids)]]
+    dist, d, r = _law(config)
+    n, k = config["n"], config["k_slab"]
+    field = sample_field(_box(d, n, k_slab=k), dist, r, config["seed"])
+    value, cut = tau_slab(SlabProblem(RectSpec.cube(n, d), k, field))
+    rows = [[d, n, k, config["seed"], r, value, _dec(Fraction(value, r)), len(cut.edge_ids)]]
     return ["d", "n", "k_slab", "seed", "resolution", "value_units", "value", "cut_size"], rows
 
 
 def _run_nu(config, workers):
-    dist = _parse(DistributionSpec.from_json, config["distribution"])
-    d = config.get("d", 2)
-    r = _resolution(config)
+    dist, d, r = _law(config)
+    # a slab of half-height k is 2k high; every slab is checked before any run
+    half_heights = [_box(d, n, k_slab=config["k_slab"]).height // 2 for n in config["n_list"]]
     rows = []
-    for n in config["n_list"]:
-        k = n if config["k_slab"] == "n" else config["k_slab"]
+    for n, k in zip(config["n_list"], half_heights):
         est = estimate_nu(
             dist, n, k, config["replications"], config["seed"],
             d=d, resolution=r, workers=workers,
@@ -384,11 +343,9 @@ def _run_nu(config, workers):
 
 
 def _run_psi(config, workers):
-    dist = _parse(DistributionSpec.from_json, config["distribution"])
-    d = config.get("d", 2)
-    r = _resolution(config)
+    dist, d, r = _law(config)
     n = config["n"]
-    h = _resolve_height(config["height"], n)
+    h = _box(d, n, config["height"]).height
     k_disc = _k_disc(config, r)
     lams = [_lam(l) for l in config["lambdas"]]
     tally = Counter()
@@ -396,14 +353,12 @@ def _run_psi(config, workers):
         dist, lams, n, h, k_disc, config["samples"], config["seed"],
         d=d, resolution=r, workers=workers, tally=tally,
     )
-    rows = []
-    for e in estimates:
-        rows.append([
-            _dec(e.lam), str(e.lam), d, n, h, k_disc, e.samples, e.hits,
-            _dec(e.hit_rate), _dec(e.psi_hat), _dec(e.ci_lo),
-            "inf" if math.isinf(e.ci_hi) else _dec(e.ci_hi),
-            int(e.infinite_flag), e.seed,
-        ])
+    rows = [[
+        _dec(e.lam), str(e.lam), d, n, h, k_disc, e.samples, e.hits,
+        _dec(e.hit_rate), _dec(e.psi_hat), _dec(e.ci_lo),
+        "inf" if math.isinf(e.ci_hi) else _dec(e.ci_hi),
+        int(e.infinite_flag), e.seed,
+    ] for e in estimates]
     return [
         "lam", "lam_exact", "d", "n", "h", "k_disc", "samples", "hits",
         "hit_rate", "psi_hat", "psi_ci_lo", "psi_ci_hi", "infinite_flag", "seed",
@@ -411,12 +366,11 @@ def _run_psi(config, workers):
 
 
 def _run_oracle(config, workers):
-    dist = _parse(DistributionSpec.from_json, config["distribution"])
+    dist, d, r = _law(config)
     if not dist.is_finite:
         raise ConfigError("oracle needs a finite law: bernoulli or finite_discrete")
-    d = config.get("d", 2)
-    r = _resolution(config)
-    box = _box(config)
+    # nothing is sampled: the enumeration budget bounds the box instead
+    box = _box(d, config["n"], config["height"], sampled=False)
     lam = _lam(config["lam"])
     tally = Counter()
     prob = exact_tail_probability(

@@ -260,7 +260,9 @@ def exact_tail_probability(
         raise ValueError("lam must be non-negative")
     m = box.edge_count
     s = len(dist.support)
-    if s**m > budget:
+    # s**m > budget, exactly (s >= 2 makes s**bit_length > budget), without
+    # forming s**m, which has billions of digits on a large box
+    if s ** min(m, budget.bit_length()) > budget:
         raise EnumerationBudgetError(f"{s}**{m} assignments exceed the budget {budget}")
     units = _unit_table(dist, resolution)
     threshold = math.ceil(lamf * box.base_area * resolution)

@@ -36,9 +36,10 @@ Point = tuple[int, ...]
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
-# Entries kept by each per-box geometry cache, here and in ``flow`` and
-# ``cuts``. One ``verify`` run at scale 4 uses at most 368 boxes per cache,
-# so long multi-shape runs stay bounded without rebuilding within a run.
+# Entries kept by each per-box geometry cache here and in ``cuts``; the
+# ``flow`` graph caches hold 16. One ``verify`` run at scale 4 uses at most
+# 368 boxes per cache, so long multi-shape runs stay bounded without
+# rebuilding within a run.
 GEOMETRY_CACHE_SIZE = 512
 
 

@@ -16,7 +16,10 @@ from latticeflow.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_OVERFLOW,
+    MAX_SAMPLED_EDGES,
     SCHEMAS,
+    ConfigError,
+    _box,
     _resolve_height,
     main,
 )
@@ -284,6 +287,38 @@ def test_budget_exceeded_exit_code(tmp_path):
     assert run(["oracle", "--config", cfg, "--out", tmp_path / "o.csv"]) == EXIT_BUDGET
 
 
+PSI_RUN = {"lambdas": ["1"], "samples": 2}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("psi", {"n": 2, "height": 10**12, **PSI_RUN}),
+        ("psi", {"n": 2, "height": {"rule": "linear", "coeff": 1e12}, **PSI_RUN}),
+        ("psi", {"n": 2, "height": {"rule": "linear", "coeff": 1e300}, **PSI_RUN}),
+        ("nu", {"d": 3, "n_list": [2, 100000], "k_slab": 1, "replications": 2}),
+        ("tau", {"d": 3, "n": 100000, "k_slab": 1}),
+        ("sample", {"n": 2, "height": 10**12}),
+        ("flow", {"d": 3, "n": 10**5, "height": 10**5}),
+    ],
+)
+def test_box_too_large_to_sample_is_a_config_error(tmp_path, capsys, command, config):
+    """More than 2**24 edges to sample exits 2 before anything is allocated."""
+    cfg = write_config(tmp_path, "c.json", {"seed": 1, "distribution": BERN, **config})
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "2**24" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sampled_edge_bound_is_inclusive():
+    """A box of n=1 has one edge per level; the oracle's box is not bounded."""
+    assert _box(2, 1, MAX_SAMPLED_EDGES).edge_count == MAX_SAMPLED_EDGES
+    with pytest.raises(ConfigError):
+        _box(2, 1, MAX_SAMPLED_EDGES + 1)
+    assert _box(2, 1, MAX_SAMPLED_EDGES + 1, sampled=False).edge_count == MAX_SAMPLED_EDGES + 1
+
+
 def test_overflow_exit_code(tmp_path):
     cfg = write_config(
         tmp_path, "c.json",
@@ -484,6 +519,10 @@ EXPONENTIAL = {"kind": "exponential", "rate": 1.0}
          "c312369f4e5c4a2eb12c0d1ba97e127607825624c863263e69d4d2e520bfb4b7"),
         ("oracle", {"seed": 33, "distribution": BERN, "d": 3, "n": 2, "height": 1, "lam": "1/2"},
          "4db28d8fea7510d43664d9e5a1190e002a2cc8cb47f702dea3ec7cf40646a111"),
+        ("oracle", {"seed": 2029, "distribution": {"kind": "finite_discrete",
+                                                   "atoms": [["0", "1/4"], ["1/3", "1/4"], ["1", "1/2"]]},
+                    "d": 3, "n": 2, "height": 1, "lam": "1/2", "resolution": 8},
+         "9a1635705c75c50ba1e3513b88c02da1aa02c8072fb65b44426228bf79781f23"),
     ],
 )
 def test_certificate_csv_golden(tmp_path, command, config, digest):

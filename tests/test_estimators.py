@@ -319,6 +319,25 @@ def test_exact_tail_budget():
         exact_tail_probability(DistributionSpec.uniform(0, 1), BoxSpec((2,), 2), 1)
 
 
+def test_exact_tail_budget_on_a_huge_box_is_immediate():
+    """2 * 10**10 edges: the check must not form 2**(2 * 10**10)."""
+    with pytest.raises(EnumerationBudgetError):
+        exact_tail_probability(BERN09, BoxSpec((10**5,), 10**5), 1)
+
+
+THREE_ATOMS = DistributionSpec.finite_discrete([("0", "1/4"), ("1/2", "1/4"), ("1", "1/2")])
+
+
+@pytest.mark.parametrize("dist", [BERN09, THREE_ATOMS])
+@pytest.mark.parametrize("box", [BoxSpec((1,), 1), BoxSpec((2,), 1), BoxSpec((1,), 4)])
+def test_exact_tail_budget_is_exact(dist, box):
+    """A budget of exactly s**m assignments passes; one less does not."""
+    count = len(dist.support) ** box.edge_count
+    exact_tail_probability(dist, box, 1, budget=count)
+    with pytest.raises(EnumerationBudgetError):
+        exact_tail_probability(dist, box, 1, budget=count - 1)
+
+
 def per_assignment_tail(dist, box, lams, resolution):
     """The exact tail at each of ``lams``, summed one assignment at a time with
     one probability product each, every assignment solved by the reference

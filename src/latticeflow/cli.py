@@ -38,7 +38,7 @@ from .estimators import (
     estimate_psi_sweep,
     exact_tail_probability,
 )
-from .flow import CapacityOverflowError, max_flow, value_solver
+from .flow import CapacityOverflowError, min_cut, value_solver
 from .lattice import BoxSpec, RectSpec, classify_edge, edges_in_box
 from .verify import run_all
 
@@ -108,7 +108,7 @@ _COMMON = {
     "out": {"type": "string"},
     "workers": _POSITIVE,
     "resolution": _POSITIVE,
-    "d": {"type": "integer", "minimum": 2},
+    "d": {"type": "integer", "minimum": 2, "maximum": 25},
 }
 
 # The law and the box of side n and height that ``sample``, ``flow``,
@@ -300,12 +300,11 @@ def _run_flow(config, workers):
     k_disc = _k_disc(config, r)
     if k_disc != r:
         field = discretize(field, k_disc)
-    res = max_flow(box, field)
+    cut = min_cut(box, field)  # its weight is the flow value
     rows = [[
         d, config["n"], config["height"], config["seed"], r, k_disc,
-        res.value, _dec(Fraction(res.value, r)),
-        len(res.min_cut.edge_ids), res.min_cut.weight,
-        " ".join(str(i) for i in sorted(res.min_cut.edge_ids)),
+        cut.weight, _dec(Fraction(cut.weight, r)),
+        len(cut.edge_ids), cut.weight, " ".join(str(i) for i in sorted(cut.edge_ids)),
     ]]
     return [
         "d", "n", "height", "seed", "resolution", "k_disc",

@@ -264,6 +264,8 @@ def exact_tail_probability(
     # forming s**m, which has billions of digits on a large box
     if s ** min(m, budget.bit_length()) > budget:
         raise EnumerationBudgetError(f"{s}**{m} assignments exceed the budget {budget}")
+    if m > budget:  # one atom: a single assignment, but one entry per edge
+        raise EnumerationBudgetError(f"an assignment of {m} edges exceeds the budget {budget}")
     units = _unit_table(dist, resolution)
     threshold = math.ceil(lamf * box.base_area * resolution)
     assignments = itertools.product(range(s), repeat=m)

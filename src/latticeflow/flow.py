@@ -1,31 +1,31 @@
 """Exact maximal flow from the bottom to the top face of a box.
 
-Integer-unit capacities, one deterministic blocking-flow (Dinic) solver,
-minimum cuts extracted from residual reachability, stream validation, and
-the decomposition of discrete streams into unit paths of the parallel-edge
+Integer-unit capacities, exact maximal-flow solvers, minimum cuts
+extracted from residual reachability, stream validation, and the
+decomposition of discrete streams into unit paths of the parallel-edge
 expansion. A stream is one signed int64 array over the box edges: the net
 flow along each edge's tail-to-head direction.
 
-The solver first contracts the box graph: the bottom face becomes the
-source, the top face the sink, and each never-cut component one node. A
-finite cut keeps each merged class on one side, so minimum cuts are
-unchanged, and the smaller graph has only finite arcs. ``min_cut_value``
-returns the value alone, ``min_cut`` the minimum cut with the smallest
-source side, and ``max_flow`` also a realising stream. On d=2 boxes the
-value alone is a shortest path in the planar dual instead. Whether a flow
-reaches a threshold often needs no solve: the disjoint straight columns
-carry the sum of their minima, and each layer of vertical edges is a cut.
-``_reached`` solves only the rows these bounds leave open, capped at the
-largest threshold the row's upper bound reaches.
-
-Edges may carry an explicit "never cut" marker instead of a finite capacity;
-the solver merges the ends of such edges, which is how the pinned-boundary
-cut problems are expressed without resorting to large sentinel numbers.
+The solvers first contract the box graph: the bottom face becomes the
+source, the top face the sink, and each component of "never cut" edges one
+node, so pinned cuts need no sentinel capacities. A finite cut keeps each
+merged class on one side, so minimum cuts are unchanged, and the smaller
+graph has only finite arcs. ``min_cut_value`` returns the value alone, from
+Boykov–Kolmogorov search trees, or on d=2 boxes a shortest path in the
+planar dual. ``min_cut`` returns the minimum cut with the smallest source
+side, the same for every maximal flow, so the search trees find it too.
+``max_flow`` also returns a realising stream, which depends on the flow
+found; golden digests pin the one Dinic's blocking flow finds, so it keeps
+Dinic. Whether a flow reaches a threshold often needs no solve: the
+disjoint straight columns carry the sum of their minima, and each layer of
+vertical edges is a cut. ``_reached`` solves only the rows these bounds
+leave open, capped at the largest threshold the row's upper bound reaches.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -218,13 +218,79 @@ def _contracted(
     return nbrs, arcs
 
 
-def _contracted_flow(nbrs: tuple, cap: list[int], limit=math.inf) -> int:
+def _bk_flow(nbrs: tuple, cap: list[int], limit=math.inf) -> int:
+    """Boykov–Kolmogorov search trees on the ``_contracted`` graph ``nbrs``.
+
+    As ``_contracted_flow``, but returns ``limit`` once the value reaches it.
+    A source and a sink tree grow until an arc joins them, and persist
+    across augmentations (Boykov & Kolmogorov 2004): a node whose tree arc
+    saturates adopts a neighbour still rooted at its terminal, or leaves.
+    """
+    tree = [1, -1] + [0] * (len(nbrs) - 2)  # the source's tree, the sink's, or none
+    # parent node (-1 at a terminal, -2 at an orphan); tree arc, directed source to sink
+    parent, up = [-1] * len(nbrs), [-1] * len(nbrs)
+    active, value = deque([_SOURCE, _SINK]), 0
+    while active:
+        p = active[0]
+        t = tree[p]
+        flip = t < 0
+        for a, q in nbrs[p] if t else ():
+            tq = tree[q]
+            if tq != t and cap[a ^ flip]:  # a residual arc leaving the tree
+                if tq:
+                    break
+                tree[q], parent[q], up[q] = t, p, a ^ flip
+                active.append(q)
+        else:
+            active.popleft()
+            continue
+        path, push = [(-1, a ^ flip)], cap[a ^ flip]  # (child, tree arc), the joining arc first
+        for v in (p, q):
+            while parent[v] >= 0:
+                b = up[v]
+                path.append((v, b))
+                if cap[b] < push:
+                    push = cap[b]
+                v = parent[v]
+        value += push
+        if value >= limit:
+            return limit
+        orphans = []
+        for v, b in path:
+            cap[b] -= push
+            cap[b ^ 1] += push
+            if not cap[b] and v >= 0:
+                parent[v] = -2
+                orphans.append(v)
+        while orphans:
+            o = orphans.pop()
+            t = tree[o]
+            back = t > 0
+            for a, q in nbrs[o]:
+                if tree[q] == t and cap[a ^ back]:  # q may be o's parent
+                    v = q
+                    while parent[v] >= 0:
+                        v = parent[v]
+                    if parent[v] == -1:
+                        parent[o], up[o] = q, a ^ back
+                        break
+            else:
+                tree[o] = 0
+                for a, q in nbrs[o]:
+                    if tree[q] == t and parent[q] == o:
+                        parent[q] = -2
+                        orphans.append(q)
+                    if tree[q] == t and cap[a ^ back]:
+                        active.append(q)
+    return value
+
+
+def _contracted_flow(nbrs: tuple, cap: list[int]) -> int:
     """Dinic on the ``_contracted`` graph ``nbrs``, whose arcs are all finite.
 
     ``cap[a]`` is the capacity of arc ``a``. Returns the maximal flow value
     and leaves ``cap`` holding the residual capacities; arc ``a`` then
-    carries ``(cap[a ^ 1] - cap[a]) // 2`` units along its direction. Once
-    the value reaches ``limit``, it stops and returns ``limit`` instead.
+    carries ``(cap[a ^ 1] - cap[a]) // 2`` units along its direction.
 
     Each phase labels nodes by residual distance to the sink, with a
     breadth-first search from the sink that stops at the source's level, so
@@ -274,8 +340,6 @@ def _contracted_flow(nbrs: tuple, cap: list[int], limit=math.inf) -> int:
                 continue
             push = min([cap[a] for a in path])
             value += push
-            if value >= limit:
-                return limit
             for a in path:
                 cap[a] -= push
                 cap[a ^ 1] += push
@@ -285,7 +349,7 @@ def _contracted_flow(nbrs: tuple, cap: list[int], limit=math.inf) -> int:
 
 def value_solver(d: int) -> str:
     """Name of the algorithm ``min_cut_value`` runs on d-dimensional boxes."""
-    return "planar_dual" if d == 2 else "contracted_dinic"
+    return "planar_dual" if d == 2 else "search_trees"
 
 
 def _values(box: BoxSpec, rows: np.ndarray, never_cut: frozenset[int], limits=None) -> list[int]:
@@ -297,7 +361,7 @@ def _values(box: BoxSpec, rows: np.ndarray, never_cut: frozenset[int], limits=No
         adj = _dual_adjacency(box.dims, box.height, never_cut)
         return [_dual_value(adj, row.tolist(), lim) for row, lim in zip(rows, limits)]
     nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
-    return [_contracted_flow(nbrs, row[arc_edge].tolist(), lim) for row, lim in zip(rows, limits)]
+    return [_bk_flow(nbrs, row[arc_edge].tolist(), lim) for row, lim in zip(rows, limits)]
 
 
 def _bounds(box: BoxSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,11 +390,10 @@ def min_cut_value(
     """Maximal flow value alone, without stream or cut certificates.
 
     For d=2 this is the cheapest left-wall-to-right-wall path in the planar
-    dual (Itai & Shiloach 1979; Hassin 1981), found by Dijkstra. For d >= 3
-    it is Dinic's blocking flow on the graph with the faces and never-cut
-    components contracted. Both run on Python ints and so are exact at any
-    total below the 64-bit contract, and both raise PinningInfeasibleError
-    when the never-cut edges join bottom to top.
+    dual (Itai & Shiloach 1979; Hassin 1981), found by Dijkstra; for d >= 3
+    the search-tree flow on the contracted graph. Both run on Python ints,
+    so both are exact at any total below the 64-bit contract, and both raise
+    PinningInfeasibleError when the never-cut edges join bottom to top.
     """
     if field.box != box:
         raise ValueError("field does not cover this box")
@@ -338,7 +401,7 @@ def min_cut_value(
 
 
 def _flow_and_cut(
-    box: BoxSpec, field: CapacityField, never_cut: frozenset[int]
+    box: BoxSpec, field: CapacityField, never_cut: frozenset[int], solve
 ) -> tuple[list[int], np.ndarray, CutSet]:
     """Residual arc capacities of a maximal flow, the edge of each arc, and
     the flow's source-side cut.
@@ -346,14 +409,14 @@ def _flow_and_cut(
     The cut is every edge from a class the residual graph reaches from the
     source to one it does not. That reachable set is the same for every
     maximal flow (Picard & Queyranne 1980), so the cut is the minimum cut
-    with the smallest source side whichever flow Dinic found.
+    with the smallest source side whichever maximal flow ``solve`` found.
     """
     if field.box != box:
         raise ValueError("field does not cover this box")
     _check_totals(field.caps[None])
     nbrs, arc_edge = _contracted(box.dims, box.height, never_cut)
     cap = field.caps[arc_edge].tolist()
-    value = _contracted_flow(nbrs, cap)
+    value = solve(nbrs, cap)
     reached = [False] * len(nbrs)
     reached[_SOURCE] = True
     todo = [_SOURCE]
@@ -383,7 +446,7 @@ def min_cut(
     Its weight is the maximal flow value. Raises PinningInfeasibleError when
     the never-cut edges join bottom to top.
     """
-    return _flow_and_cut(box, field, never_cut)[2]
+    return _flow_and_cut(box, field, never_cut, _bk_flow)[2]
 
 
 def max_flow(box: BoxSpec, field: CapacityField) -> MaxFlowResult:
@@ -391,7 +454,7 @@ def max_flow(box: BoxSpec, field: CapacityField) -> MaxFlowResult:
 
     Edges inside a contracted face carry no flow.
     """
-    cap, arc_edge, cut = _flow_and_cut(box, field, frozenset())
+    cap, arc_edge, cut = _flow_and_cut(box, field, frozenset(), _contracted_flow)
     flow = np.zeros(box.edge_count, dtype=np.int64)
     flow[arc_edge[::2]] = [(cap[a + 1] - cap[a]) // 2 for a in range(0, len(cap), 2)]
     return MaxFlowResult(cut.weight, Stream(box, field.resolution, flow), cut)

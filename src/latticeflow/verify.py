@@ -25,7 +25,7 @@ from .capacity import (
 )
 from .cuts import check_subadditivity
 from .estimators import estimate_psi, exact_tail_probability
-from .flow import flow_value, max_flow, menger_count, validate_stream
+from .flow import flow_value, max_flow, menger_count, min_cut, min_cut_value, validate_stream
 from .junction import (
     discrete_max_flow_stream,
     flip_vertical,
@@ -197,12 +197,11 @@ def check_sandwich(seed: int, trials: int = 50) -> PropertyResult:
         dist = _MIXED_DISTRIBUTIONS[t % len(_MIXED_DISTRIBUTIONS)]
         field = sample_field(box, dist, r, derive_seed(seed, t))
         k = 2 ** int(rng.integers(1, 5))
-        fine = max_flow(box, field).value
-        mid = max_flow(box, discretize(field, 2 * k)).value
-        coarse_res = max_flow(box, discretize(field, k))
-        coarse = coarse_res.value
-        gap_bound = len(coarse_res.min_cut.edge_ids) * (r // k)
-        if not (coarse <= mid <= fine and fine - coarse <= gap_bound):
+        fine = min_cut_value(box, field)
+        mid = min_cut_value(box, discretize(field, 2 * k))
+        coarse = min_cut(box, discretize(field, k))
+        gap_bound = len(coarse.edge_ids) * (r // k)
+        if not (coarse.weight <= mid <= fine and fine - coarse.weight <= gap_bound):
             bad += 1
     return PropertyResult("sandwich", trials, bad)
 
@@ -245,7 +244,7 @@ def check_junction(seed: int, trials: int = 20) -> PropertyResult:
         ok = (
             not validate_stream(joined.box, union_field, joined)
             and flow_value(joined) >= need
-            and max_flow(joined.box, union_field).value >= flow_value(joined)
+            and min_cut_value(joined.box, union_field) >= flow_value(joined)
         )
         bad += not ok
     return PropertyResult("junction", trials, bad)

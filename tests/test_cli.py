@@ -287,6 +287,16 @@ def test_budget_exceeded_exit_code(tmp_path):
     assert run(["oracle", "--config", cfg, "--out", tmp_path / "o.csv"]) == EXIT_BUDGET
 
 
+def test_one_atom_oracle_on_a_huge_box_exceeds_the_budget(tmp_path, capsys):
+    """One assignment of 2 * 10**10 edges is refused before it is formed."""
+    one = {"kind": "finite_discrete", "atoms": [["1", "1"]]}
+    cfg = write_config(
+        tmp_path, "c.json", {"seed": 1, "distribution": one, "n": 10**5, "height": 10**5, "lam": "1"}
+    )
+    assert run(["oracle", "--config", cfg, "--out", tmp_path / "o.csv"]) == EXIT_BUDGET
+    assert "budget" in capsys.readouterr().err
+
+
 PSI_RUN = {"lambdas": ["1"], "samples": 2}
 
 
@@ -309,6 +319,32 @@ def test_box_too_large_to_sample_is_a_config_error(tmp_path, capsys, command, co
     assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
     assert "2**24" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [26, 10**9])
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("psi", {"n": 1, "height": 1, **PSI_RUN}),
+        ("tau", {"n": 1, "k_slab": 1}),
+        ("nu", {"n_list": [1], "k_slab": 1, "replications": 2}),
+    ],
+)
+def test_dimension_past_25_is_a_config_error(tmp_path, capsys, command, config, d):
+    """A huge ``d`` exits 2 before the (n,) * (d - 1) box sides are built."""
+    cfg = write_config(tmp_path, "c.json", {"seed": 1, "distribution": BERN, "d": d, **config})
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dimension_25_column_still_runs(tmp_path):
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"seed": 1, "distribution": BERN, "d": 25, "n": 1, "height": 1, **PSI_RUN},
+    )
+    assert run(["psi", "--config", cfg, "--out", tmp_path / "psi.csv"]) == EXIT_OK
 
 
 def test_sampled_edge_bound_is_inclusive():
@@ -465,7 +501,7 @@ def test_sidecar_names_value_solver(tmp_path):
         tmp_path, "nu.json",
         {"seed": 13, "distribution": BERN, "d": 3, "n_list": [2], "k_slab": 1, "replications": 2},
     )
-    for command, cfg, solver in (("psi", psi, "planar_dual"), ("nu", nu, "contracted_dinic")):
+    for command, cfg, solver in (("psi", psi, "planar_dual"), ("nu", nu, "search_trees")):
         out = tmp_path / f"{command}.csv"
         assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
         meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
 
@@ -548,6 +549,35 @@ def test_certificates_match_reference(d, sides, h, offset, law, seed, k_disc, pi
     assert not res.stream.flow[inside_top].any()
 
 
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    sides=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 2)),
+    h=st.integers(1, 4),
+    law=st.sampled_from(LAWS),
+    seed=st.integers(0, 2**32),
+    k_disc=st.sampled_from([R, 4]),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9]),
+    pinned=st.booleans(),
+)
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_search_trees_match_reference(d, sides, h, law, seed, k_disc, zero_share, pinned):
+    """``_bk_flow`` gives the reference value, capped or not, and ``min_cut``,
+    which runs on it, the reference cut and the one ``max_flow`` finds."""
+    base = RectSpec((0,) * (d - 1), sides[: d - 1])
+    box = base.slab_box((h + 1) // 2) if pinned else BoxSpec(sides[: d - 1], h)
+    never = uncuttable_edge_ids(base, (h + 1) // 2) if pinned else frozenset()
+    zeros = np.random.Generator(np.random.Philox(key=seed)).random(box.edge_count) < zero_share
+    caps = np.where(zeros, 0, discretize(sample_field(box, law, R, seed), k_disc).caps)
+    field = CapacityField(box, R, caps)
+    v, cut = solve_min_cut(box, field, never)
+    nbrs, arc_edge = flow._contracted(box.dims, box.height, never)
+    for limit in (math.inf, 0, max(v - 1, 0), v, v + 1, sum(caps.tolist())):
+        assert flow._bk_flow(nbrs, caps[arc_edge].tolist(), limit) == min(v, limit)
+    assert min_cut(box, field, never) == cut
+    if not pinned:
+        assert max_flow(box, field).min_cut == cut
+
+
 BOUNDED_CACHES = {
     "lattice.edge_ends": lattice.edge_ends,
     "lattice.edge_map": lattice.edge_map,
@@ -612,7 +642,7 @@ def test_threshold_bounds_and_capped_solves(d, n, h, law, seed, k_disc, zero_sha
     nbrs, arc_edge = flow._contracted(box.dims, h, frozenset())
     for row, v, lo, up in zip(zeroed, values, lower, upper):
         for limit in {0, lo, max(v - 1, 0), v, v + 1, up}:
-            assert flow._contracted_flow(nbrs, row[arc_edge].tolist(), limit) == min(v, limit)
+            assert flow._bk_flow(nbrs, row[arc_edge].tolist(), limit) == min(v, limit)
             if d == 2:
                 adj = flow._dual_adjacency(box.dims, h, frozenset())
                 assert flow._dual_value(adj, row.tolist(), limit) == min(v, limit)

@@ -10,13 +10,11 @@ __version__ = "0.1.0"
 from .capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
-    DistConstants,
     DistributionSpec,
     as_fraction,
     derive_seed,
     derive_seeds,
     discretize,
-    dist_constants,
     sample_block,
     sample_field,
 )
@@ -65,5 +63,4 @@ from .lattice import (
     RectSpec,
     classify_edge,
     edges_in_box,
-    face_vertices,
 )

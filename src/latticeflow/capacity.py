@@ -7,10 +7,11 @@ operates on; finite laws whose atoms sit on the grid are stored exactly.
 
 Sampling is counter based: the draw for edge id i is a pure function of
 (seed, i), so fields are reproducible across platforms, independent of
-evaluation order, and replica workers can sample concurrently. Since a
-Philox stream is fixed by its key and counter alone (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011), ``sample_block``
-re-keys one generator per row instead of building one per replica.
+evaluation order, and replica workers can sample concurrently. The draws
+are numpy's ``Philox(key=seed)`` stream, a pure function of key and counter
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). So
+``sampler`` picks per block between numpy's generator, re-keyed per row,
+and an array Philox over all rows at once, which never loads numpy.random.
 """
 
 from __future__ import annotations
@@ -149,36 +150,6 @@ class DistributionSpec:
         raise ValueError(f"unknown distribution kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class DistConstants:
-    """Essential supremum, essential infimum and the mass at the supremum.
-
-    ``mu`` is None when the essential supremum is infinite.
-    """
-
-    mu: Fraction | None
-    beta: Fraction
-    q_mu: Fraction
-
-    @property
-    def mu_is_infinite(self) -> bool:
-        return self.mu is None
-
-
-def dist_constants(dist: DistributionSpec) -> DistConstants:
-    """Closed-form distribution constants per law."""
-    if dist.is_finite:
-        atoms = [(v, p) for v, p in zip(dist.support, dist.probs) if p > 0]
-        mu = max(v for v, _ in atoms)
-        beta = min(v for v, _ in atoms)
-        q_mu = sum(p for v, p in atoms if v == mu)
-        return DistConstants(mu=mu, beta=beta, q_mu=Fraction(q_mu))
-    if dist.kind == UNIFORM:
-        a, b = dist.support
-        return DistConstants(mu=b, beta=a, q_mu=Fraction(1 if a == b else 0))
-    return DistConstants(mu=None, beta=Fraction(0), q_mu=Fraction(0))
-
-
 @dataclass(eq=False)
 class CapacityField:
     """One capacity per edge of a box, in integer 1/resolution units.
@@ -293,29 +264,65 @@ def derive_seed(master: int, index: int) -> int:
     return int(derive_seeds(master, index))
 
 
-def edge_uniform_rows(seeds, count: int) -> np.ndarray:
-    """Row i is ``edge_uniforms(seeds[i], count)``.
+# Philox4x64-10 (Salmon et al. 2011): round multipliers, also halved, and key increments.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 
-    One Philox generator serves the whole block: it is re-keyed to
-    ``[seed, 0]`` with counter 0 and an empty buffer before each row, which
-    is exactly the state a fresh ``Philox(key=seed)`` starts in, so every row
-    is drawn by numpy's own Philox code.
+
+def sampler(rows: int, count: int) -> str:
+    """The kernel ``edge_uniform_rows`` runs on ``rows`` rows of ``count`` draws.
+
+    Median ms of 25 calls, vectorised / numpy (2-core x86, numpy 2.4; runs
+    vary by up to 40 %); 2730 rows of 6 draws: 2.12 / 11.3, 11 of 1408: 1.23 / 0.26.
+
+        rows    6 draws      16 draws     32 draws     64 draws
+        1       0.35 / 0.03  0.35 / 0.03  0.34 / 0.03  0.36 / 0.03
+        128     0.50 / 0.60  0.56 / 0.60  0.66 / 0.62  0.86 / 0.69
+        256     0.56 / 1.10  0.68 / 1.12  0.88 / 1.23  1.55 / 1.34
     """
-    seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else list(seeds)
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    key = np.zeros(2, dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    return "vectorised" if rows >= 256 and count <= 32 else "numpy"
+
+
+def _philox_rows(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Row i is ``Generator(Philox(key=seeds[i])).random(count)``, bit for bit.
+
+    All counter blocks of all rows run the ten rounds at once; the key
+    ``[seed, 0]`` is bumped between rounds. Counters start at 1, as numpy
+    increments before its first buffer. High product words are summed from
+    32-bit halves, no partial sum passing 2**64, and word x gives
+    ``(x >> 11) * 2**-53``, numpy's ``next_double``.
+    """
+    blocks = -(-count // 4)
+    key = np.stack([seeds, np.zeros_like(seeds)])[:, :, None]
+    even = np.array([np.arange(1, blocks + 1), np.zeros(blocks)], dtype=np.uint64)[:, None, :]
+    odd = np.zeros_like(even)
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        lo, hi = even & _MASK32, even >> 32
+        t = _PHILOX_M_HI * lo + (_PHILOX_M_LO * lo >> 32)
+        u = _PHILOX_M_LO * hi + (t & _MASK32)
+        high = _PHILOX_M_HI * hi + (t >> 32) + (u >> 32)
+        even, odd = high[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(len(seeds), -1)
+    return (words[:, :count] >> 11) * 2.0**-53
+
+
+def edge_uniform_rows(seeds, count: int) -> np.ndarray:
+    """Row i is ``edge_uniforms(seeds[i], count)``, drawn by the kernel that
+    ``sampler`` picks for the block. The numpy one re-keys one generator to
+    the state of a fresh ``Philox(key=seed)`` (counter 0, empty buffer)."""
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):  # any uint64 is a seed
+        seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
+        seeds = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
+    if sampler(len(seeds), count) == "vectorised":
+        return _philox_rows(seeds, count)
+    bitgen = np.random.Philox(key=0)
+    gen, state = np.random.Generator(bitgen), bitgen.state
     u = np.empty((len(seeds), count))
-    for row, seed in zip(u, seeds):
-        key[0] = _check_seed(seed)
+    for row, seed in zip(u, seeds.tolist()):
+        state["state"]["key"][0] = seed
         bitgen.state = state
         gen.random(out=row)
     return u

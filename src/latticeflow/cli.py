@@ -326,10 +326,11 @@ def _run_nu(config, workers):
     # a slab of half-height k is 2k high; every slab is checked before any run
     half_heights = [_box(d, n, k_slab=config["k_slab"]).height // 2 for n in config["n_list"]]
     rows = []
+    samplers = Counter(vectorised=0, numpy=0)  # sampling blocks by capacity.sampler kernel
     for n, k in zip(config["n_list"], half_heights):
         est = estimate_nu(
             dist, n, k, config["replications"], config["seed"],
-            d=d, resolution=r, workers=workers,
+            d=d, resolution=r, workers=workers, samplers=samplers,
         )
         rows.append([
             d, n, k, est.replications, est.seed, r,
@@ -338,7 +339,7 @@ def _run_nu(config, workers):
     return [
         "d", "n", "k_slab", "replications", "seed", "resolution",
         "mean_num", "mean_den", "mean", "stderr",
-    ], rows, {"value_solver": value_solver(d)}
+    ], rows, {"value_solver": value_solver(d), "sampler_blocks": samplers}
 
 
 def _run_psi(config, workers):
@@ -347,10 +348,10 @@ def _run_psi(config, workers):
     h = _box(d, n, config["height"]).height
     k_disc = _k_disc(config, r)
     lams = [_lam(l) for l in config["lambdas"]]
-    tally = Counter()
+    tally, samplers = Counter(), Counter(vectorised=0, numpy=0)
     estimates = estimate_psi_sweep(
         dist, lams, n, h, k_disc, config["samples"], config["seed"],
-        d=d, resolution=r, workers=workers, tally=tally,
+        d=d, resolution=r, workers=workers, tally=tally, samplers=samplers,
     )
     rows = [[
         _dec(e.lam), str(e.lam), d, n, h, k_disc, e.samples, e.hits,
@@ -361,7 +362,7 @@ def _run_psi(config, workers):
     return [
         "lam", "lam_exact", "d", "n", "h", "k_disc", "samples", "hits",
         "hit_rate", "psi_hat", "psi_ci_lo", "psi_ci_hi", "infinite_flag", "seed",
-    ], rows, {"value_solver": value_solver(d), "solver_counts": dict(tally)}
+    ], rows, {"value_solver": value_solver(d), "solver_counts": tally, "sampler_blocks": samplers}
 
 
 def _run_oracle(config, workers):

@@ -25,6 +25,7 @@ from .capacity import (
     as_fraction,
     derive_seeds,
     sample_block,
+    sampler,
 )
 from .cuts import uncuttable_edge_ids
 from .flow import _reached, _values
@@ -40,15 +41,17 @@ class EnumerationBudgetError(RuntimeError):
 _BLOCK_ELEMENTS = 2**14
 
 
-def _map_indices(fn, count: int, width: int, workers: int) -> list:
+def _map_indices(fn, count: int, width: int, workers: int, samplers: Counter | None = None) -> list:
     """``fn(block)`` over consecutive index blocks of range(count), in block order.
 
     A block holds at most _BLOCK_ELEMENTS // width replicas of ``width``
     edges each, and there are at least workers * 8 blocks when count allows,
-    so a pool stays balanced.
+    so a pool stays balanced. ``samplers`` counts blocks by ``capacity.sampler``.
     """
     rows = max(1, min(_BLOCK_ELEMENTS // width, -(-count // (workers * 8))))
     blocks = [range(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+    if samplers is not None:
+        samplers.update(sampler(len(block), width) for block in blocks)
     if workers <= 1 or len(blocks) <= 1:
         parts = map(fn, blocks)
     else:
@@ -112,6 +115,7 @@ def estimate_nu(
     d: int = 2,
     resolution: int = DEFAULT_RESOLUTION,
     workers: int = 1,
+    samplers: Counter | None = None,
 ) -> NuEstimate:
     """Monte Carlo mean of tau(]0,n]^(d-1), k_slab) / n^(d-1), exact rational."""
     if replications < 1:
@@ -120,7 +124,7 @@ def estimate_nu(
     slab = base.slab_box(k_slab)
     never_cut = uncuttable_edge_ids(base, k_slab)
     fn = partial(_block_solve, _values, slab, never_cut, resolution, dist, resolution, seed)
-    taus = [t for part in _map_indices(fn, replications, slab.edge_count, workers) for t in part]
+    taus = [t for part in _map_indices(fn, replications, slab.edge_count, workers, samplers) for t in part]
     denom = base.area * resolution
     mean = Fraction(sum(taus), replications * denom)
     if replications > 1:
@@ -175,13 +179,15 @@ def estimate_psi_sweep(
     z: float = 1.96,
     workers: int = 1,
     tally: Counter | None = None,
+    samplers: Counter | None = None,
 ) -> list[PsiEstimate]:
     """Tail estimates over a lam grid from one shared set of replicas.
 
     Identical to calling ``estimate_psi`` per lam with the same seed: the
     replica fields depend only on (seed, index), so sharing them is free and
     keeps the whole curve consistent replica by replica. ``tally``, if given,
-    counts the replicas ``flow._reached`` decided by its bounds and solved.
+    counts the replicas ``flow._reached`` decided by its bounds and solved;
+    ``samplers`` counts the sampling blocks by kernel.
     """
     if samples < 1 or h < 1:
         raise ValueError("samples and h must be >= 1")
@@ -193,7 +199,7 @@ def estimate_psi_sweep(
     box = BoxSpec((n,) * (d - 1), h)
     grid = sorted(set(thresholds))
     fn = partial(_block_solve, _reached, box, grid, k_disc, dist, resolution, seed)
-    reached, solved = zip(*_map_indices(fn, samples, box.edge_count, workers))
+    reached, solved = zip(*_map_indices(fn, samples, box.edge_count, workers, samplers))
     if tally is not None:
         tally.update(decided_by_bounds=samples - sum(solved), solved=sum(solved))
     reached = np.concatenate(reached)

@@ -231,17 +231,6 @@ def edges_in_box(box: BoxSpec) -> tuple[Edge, ...]:
     return tuple(Edge(points[t], points[h]) for t, h in zip(tail.tolist(), head.tolist()))
 
 
-def face_vertices(box: BoxSpec, which: str) -> frozenset[Point]:
-    """Lattice points of the bottom or top face."""
-    if which == "bottom":
-        z = box.z_lo
-    elif which == "top":
-        z = box.z_hi
-    else:
-        raise ValueError("which must be 'bottom' or 'top'")
-    return frozenset(base + (z,) for base in box.base_points())
-
-
 @dataclass(frozen=True)
 class RectSpec:
     """Base hyper-rectangle prod ]lo_i, hi_i] in Z^(d-1)."""

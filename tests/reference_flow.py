@@ -14,9 +14,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+from reference_lattice import face_vertices
+
 from latticeflow.capacity import CapacityField
 from latticeflow.flow import CutSet, PinningInfeasibleError
-from latticeflow.lattice import BoxSpec, Point, edges_in_box, face_vertices
+from latticeflow.lattice import BoxSpec, Point, edges_in_box
 
 
 @dataclass(eq=False)

@@ -3,7 +3,8 @@
 Test oracle for ``latticeflow.lattice.edge_ends``, whose index arithmetic
 must reproduce this lexicographic numbering at every offset, and for
 ``latticeflow.cuts.uncuttable_edge_ids``, which must reproduce the pinned
-set that ``inner_boundary_edges`` defines point by point.
+set that ``inner_boundary_edges`` defines point by point. Also the point
+sets the reference solver and the tests build their faces from.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ def sorted_edges_in_box(box: BoxSpec) -> tuple[Edge, ...]:
 def edge_ids(box: BoxSpec) -> dict[Edge, int]:
     """Edge -> dense id map of the box, from the sorted enumeration."""
     return {e: i for i, e in enumerate(sorted_edges_in_box(box))}
+
+
+def face_vertices(box: BoxSpec, which: str) -> frozenset[Point]:
+    """Lattice points of the bottom or top face."""
+    if which == "bottom":
+        z = box.z_lo
+    elif which == "top":
+        z = box.z_hi
+    else:
+        raise ValueError("which must be 'bottom' or 'top'")
+    return frozenset(base + (z,) for base in box.base_points())
 
 
 def box_vertices(box: BoxSpec) -> tuple[Point, ...]:

@@ -13,7 +13,7 @@ from collections import defaultdict, deque
 from fractions import Fraction
 
 import numpy as np
-from reference_lattice import edge_ids
+from reference_lattice import edge_ids, face_vertices
 
 from latticeflow import verify
 from latticeflow.capacity import (
@@ -49,7 +49,6 @@ from latticeflow.lattice import (
     Edge,
     RectSpec,
     edges_in_box,
-    face_vertices,
 )
 
 R = DEFAULT_RESOLUTION

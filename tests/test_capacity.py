@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import hypothesis
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeflow.capacity import (
@@ -11,15 +12,16 @@ from latticeflow.capacity import (
     CapacityField,
     CapacityOverflowError,
     DistributionSpec,
+    _philox_rows,
     as_fraction,
     derive_seed,
     derive_seeds,
     discretize,
-    dist_constants,
     edge_uniform_rows,
     edge_uniforms,
     sample_block,
     sample_field,
+    sampler,
     unit_count,
 )
 from reference_lattice import edge_ids
@@ -74,22 +76,6 @@ def test_distribution_json_round_trip():
         ({"kind": "half_normal", "sigma": 0.5}, DistributionSpec.half_normal(0.5)),
     ):
         assert DistributionSpec.from_json(obj) == dist
-
-
-def test_dist_constants():
-    c = dist_constants(DistributionSpec.bernoulli(0.9, 0, 1))
-    assert (c.mu, c.beta, c.q_mu) == (1, 0, Fraction(9, 10))
-    c = dist_constants(DistributionSpec.uniform(2, 5))
-    assert (c.mu, c.beta, c.q_mu) == (5, 2, 0)
-    c = dist_constants(DistributionSpec.exponential(1.0))
-    assert c.mu_is_infinite and c.beta == 0 and c.q_mu == 0
-    c = dist_constants(DistributionSpec.half_normal(1.0))
-    assert c.mu_is_infinite
-    # degenerate cases
-    c = dist_constants(DistributionSpec.bernoulli(1, 0, 2))
-    assert (c.mu, c.beta, c.q_mu) == (2, 2, 1)
-    c = dist_constants(DistributionSpec.uniform(3, 3))
-    assert (c.mu, c.beta, c.q_mu) == (3, 3, 1)
 
 
 def test_degenerate_bernoulli_saturates():
@@ -174,7 +160,12 @@ LAWS = (
     DistributionSpec.exponential(0.7),
     DistributionSpec.half_normal(1.3),
 )
-EDGE_SEEDS = [0, 1, 2**63, 2**64 - 1, *derive_seeds(5, range(6)).tolist()]
+SEED_EXTREMES = [0, 1, 2**63, 2**64 - 1]
+EDGE_SEEDS = [*SEED_EXTREMES, *derive_seeds(5, range(6)).tolist()]
+
+
+def _fresh_philox(seed, count):
+    return np.random.Generator(np.random.Philox(key=seed)).random(count)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 10, 27, 480])
@@ -182,7 +173,42 @@ def test_rekeyed_generator_equals_a_fresh_one(count):
     # Philox yields four words per counter step, so the counts straddle it
     rows = edge_uniform_rows(EDGE_SEEDS, count)
     for row, seed in zip(rows, EDGE_SEEDS):
-        assert np.array_equal(row, np.random.Generator(np.random.Philox(key=seed)).random(count))
+        assert np.array_equal(row, _fresh_philox(seed, count))
+
+
+@hypothesis.seed(16)
+@settings(max_examples=80, deadline=None)
+@given(
+    seeds=st.lists(st.sampled_from(SEED_EXTREMES) | st.integers(0, 2**64 - 1), min_size=1, max_size=300),
+    count=st.integers(1, 64),
+)
+@example(seeds=SEED_EXTREMES, count=1)
+@example(seeds=SEED_EXTREMES, count=7)
+@example(seeds=SEED_EXTREMES, count=64)
+def test_philox_kernel_equals_numpy(seeds, count):
+    """The array Philox reproduces numpy's generator row by row, counts that
+    are not multiples of the four-word counter block included."""
+    rows = _philox_rows(np.array(seeds, dtype=np.uint64), count)
+    assert rows.shape == (len(seeds), count)
+    for row, s in zip(rows, seeds):
+        assert np.array_equal(row, _fresh_philox(s, count))
+
+
+def test_edge_uniform_rows_agree_across_the_sampler_gate():
+    """Blocks of >= 256 rows of <= 32 draws take the array kernel; one row or
+    one draw fewer or more crosses the gate without changing a single draw."""
+    seeds = derive_seeds(17, range(256))
+    assert sampler(256, 32) == "vectorised"
+    assert sampler(255, 32) == sampler(256, 33) == sampler(1, 6) == "numpy"
+    rows = edge_uniform_rows(seeds, 32)
+    split = [edge_uniform_rows(seeds[:255], 32), edge_uniform_rows(seeds[255:], 32)]
+    assert np.array_equal(rows, np.vstack(split))
+    assert np.array_equal(rows, edge_uniform_rows(seeds, 33)[:, :32])
+    assert np.array_equal(rows, edge_uniform_rows(seeds.tolist(), 32))
+    # seeds of any integer dtype are read as ints and checked
+    assert np.array_equal(edge_uniform_rows(np.arange(300), 6), edge_uniform_rows(list(range(300)), 6))
+    with pytest.raises(ValueError):
+        edge_uniform_rows(np.arange(-1, 299), 6)
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
@@ -193,6 +219,16 @@ def test_block_rows_equal_one_seed_sampling(law, box):
     assert block.shape == (len(EDGE_SEEDS), box.edge_count) and block.dtype == np.int64
     for row, seed in zip(block, EDGE_SEEDS):
         assert np.array_equal(row, sample_field(box, law, R, seed).caps)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("box", [BoxSpec((3,), 2), BoxSpec((5,), 3)])
+def test_vectorised_block_rows_equal_one_seed_sampling(law, box):
+    seeds = EDGE_SEEDS + derive_seeds(6, range(300)).tolist()
+    assert sampler(len(seeds), box.edge_count) == "vectorised"
+    block = sample_block(box, law, R, seeds)
+    for row, s in zip(block, seeds):
+        assert np.array_equal(row, sample_field(box, law, R, s).caps)
 
 
 @pytest.mark.parametrize(

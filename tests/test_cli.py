@@ -11,6 +11,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import latticeflow
+from latticeflow import capacity
+from latticeflow.capacity import DistributionSpec
 from latticeflow.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -23,6 +25,7 @@ from latticeflow.cli import (
     _resolve_height,
     main,
 )
+from latticeflow.estimators import estimate_psi_sweep
 
 
 def write_config(tmp_path, name, payload):
@@ -493,20 +496,27 @@ def test_fractional_height_coeff_rounds_up(tmp_path, rule, coeff, n, h):
 
 
 def test_sidecar_names_value_solver(tmp_path):
+    """The psi and nu sidecars name the value solver and count the sampling
+    blocks each kernel drew: 2048 psi replicas of a 2x2 box fill 8 blocks of
+    256 rows, two nu replicas on each of two slabs 4 one-row blocks."""
     psi = write_config(
         tmp_path, "psi.json",
-        {"seed": 13, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 2},
+        {"seed": 13, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 2048},
     )
     nu = write_config(
         tmp_path, "nu.json",
-        {"seed": 13, "distribution": BERN, "d": 3, "n_list": [2], "k_slab": 1, "replications": 2},
+        {"seed": 13, "distribution": BERN, "d": 3, "n_list": [2, 3], "k_slab": 1, "replications": 2},
     )
-    for command, cfg, solver in (("psi", psi, "planar_dual"), ("nu", nu, "search_trees")):
+    for command, cfg, solver, blocks in (
+        ("psi", psi, "planar_dual", {"vectorised": 8, "numpy": 0}),
+        ("nu", nu, "search_trees", {"vectorised": 0, "numpy": 4}),
+    ):
         out = tmp_path / f"{command}.csv"
         assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
         meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
         assert meta["value_solver"] == solver
-        assert solver not in out.read_text()
+        assert meta["sampler_blocks"] == blocks
+        assert solver not in out.read_text() and "vectorised" not in out.read_text()
 
 
 def test_sidecar_counts_bound_decisions(tmp_path):
@@ -621,6 +631,27 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     heavy = ["jsonschema", "concurrent.futures.process", "multiprocessing", "scipy"]
     code = "import sys, latticeflow.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
     assert _python(code, *heavy).strip() == "[]"
+
+
+def test_tiny_box_psi_leaves_numpy_random_unloaded(monkeypatch):
+    """The 2x2 bernoulli(0.9) box at 20 000 replicas samples every block with
+    the array kernel, so numpy.random is never imported, and its hit counts
+    equal those of numpy's own generator. numpy < 2 imports numpy.random with
+    numpy itself, so there only the hit counts are checked."""
+    code = (
+        "import json, sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from latticeflow.capacity import DistributionSpec\n"
+        "from latticeflow.estimators import estimate_psi_sweep\n"
+        "est = estimate_psi_sweep(DistributionSpec.bernoulli('0.9'), ['0.5', '1'], 2, 2, 2**20, 20000, 1)\n"
+        "print(json.dumps([eager, 'numpy.random' in sys.modules, [e.hits for e in est]]))\n"
+    )
+    eager, loaded, hits = json.loads(_python(code))
+    if not eager:
+        assert not loaded
+    monkeypatch.setattr(capacity, "sampler", lambda rows, count: "numpy")
+    est = estimate_psi_sweep(DistributionSpec.bernoulli("0.9"), ["0.5", "1"], 2, 2, 2**20, 20000, 1)
+    assert hits == [e.hits for e in est]
 
 
 def test_runs_need_no_jsonschema(tmp_path):

@@ -3,6 +3,7 @@ from collections import defaultdict, deque
 
 import numpy as np
 import pytest
+from reference_lattice import face_vertices
 
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
@@ -24,7 +25,6 @@ from latticeflow.lattice import (
     RectSpec,
     classify_edge,
     edges_in_box,
-    face_vertices,
 )
 
 R = DEFAULT_RESOLUTION

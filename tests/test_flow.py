@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_flow import solve_min_cut
-from reference_lattice import box_vertices, edge_ids
+from reference_lattice import box_vertices, edge_ids, face_vertices
 
 from latticeflow import cuts, estimators, flow, lattice
 from latticeflow.capacity import (
@@ -37,7 +37,6 @@ from latticeflow.lattice import (
     Edge,
     RectSpec,
     edges_in_box,
-    face_vertices,
 )
 
 R = DEFAULT_RESOLUTION

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_lattice import contains, edge_ids, inner_boundary_edges, sorted_edges_in_box
+from reference_lattice import (
+    contains,
+    edge_ids,
+    face_vertices,
+    inner_boundary_edges,
+    sorted_edges_in_box,
+)
 
 from latticeflow.cuts import uncuttable_edge_ids
 from latticeflow.lattice import (
@@ -18,7 +24,6 @@ from latticeflow.lattice import (
     edge_index,
     edge_map,
     edges_in_box,
-    face_vertices,
 )
 
 

@@ -10,13 +10,14 @@ Sampling is counter based: the draw for edge id i is a pure function of
 evaluation order, and replica workers can sample concurrently. The draws
 are numpy's ``Philox(key=seed)`` stream, a pure function of key and counter
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). So
-``sampler`` picks per block between numpy's generator, re-keyed per row,
+``sampler`` picks once per run between numpy's generator, re-keyed per row,
 and an array Philox over all rows at once, which never loads numpy.random.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -270,18 +271,29 @@ _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 
 
-def sampler(rows: int, count: int) -> str:
-    """The kernel ``edge_uniform_rows`` runs on ``rows`` rows of ``count`` draws.
+_KERNEL_MS = {  # ms that r rows of c draws take on each kernel; see ``sampler``
+    "vectorised": lambda r, c: 0.28 + 60e-6 * r * c,
+    "numpy": lambda r, c: r * (3.3e-3 + 11e-6 * c),
+}
+_IMPORT_MS = 14.0  # numpy.random, in a fresh interpreter
 
-    Median ms of 25 calls, vectorised / numpy (2-core x86, numpy 2.4; runs
-    vary by up to 40 %); 2730 rows of 6 draws: 2.12 / 11.3, 11 of 1408: 1.23 / 0.26.
 
-        rows    6 draws      16 draws     32 draws     64 draws
-        1       0.35 / 0.03  0.35 / 0.03  0.34 / 0.03  0.36 / 0.03
-        128     0.50 / 0.60  0.56 / 0.60  0.66 / 0.62  0.86 / 0.69
-        256     0.56 / 1.10  0.68 / 1.12  0.88 / 1.23  1.55 / 1.34
+def sampler(blocks, processes: int = 1) -> list[str]:
+    """The kernel ``edge_uniform_rows`` runs on each (rows, count) block of a run.
+
+    Unless numpy.random is loaded (numpy < 2 loads it with numpy), a run takes
+    the array kernel while its summed extra time stays below the import (14 ms,
+    +5.4 MB RSS) in each of ``processes``; else each block takes its cheaper
+    kernel. Median ms of 25 calls (2-core x86, python 3.11, numpy 2.4):
+
+        kernel      per call  per row  per draw   1x6   1x32640  4x2016  256x6
+        vectorised  0.28      -        60e-6      0.23  2.03     0.65    0.42
+        numpy       -         3.3e-3   11e-6      0.01  0.36     0.11    0.84
     """
-    return "vectorised" if rows >= 256 and count <= 32 else "numpy"
+    cheaper = [min(_KERNEL_MS, key=lambda k: _KERNEL_MS[k](*b)) for b in blocks]
+    extra = sum(_KERNEL_MS["vectorised"](*b) - _KERNEL_MS[k](*b) for b, k in zip(blocks, cheaper))
+    loaded = "numpy.random" in sys.modules
+    return cheaper if loaded or extra >= _IMPORT_MS * processes else ["vectorised"] * len(blocks)
 
 
 def _philox_rows(seeds: np.ndarray, count: int) -> np.ndarray:
@@ -309,17 +321,22 @@ def _philox_rows(seeds: np.ndarray, count: int) -> np.ndarray:
     return (words[:, :count] >> 11) * 2.0**-53
 
 
-def edge_uniform_rows(seeds, count: int) -> np.ndarray:
-    """Row i is ``edge_uniforms(seeds[i], count)``, drawn by the kernel that
-    ``sampler`` picks for the block. The numpy one re-keys one generator to
-    the state of a fresh ``Philox(key=seed)`` (counter 0, empty buffer)."""
+@lru_cache(maxsize=1)  # one re-keyable generator per process, made at its first numpy draw
+def _numpy_philox():
+    bitgen = np.random.Philox(key=0)
+    return bitgen, np.random.Generator(bitgen), bitgen.state
+
+
+def edge_uniform_rows(seeds, count: int, kernel: str | None = None) -> np.ndarray:
+    """Row i is ``edge_uniforms(seeds[i], count)``, drawn by ``kernel`` (by
+    default ``sampler``'s pick for this block alone). The numpy one re-keys
+    a generator to the state of a fresh ``Philox(key=seed)``."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):  # any uint64 is a seed
         seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
         seeds = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
-    if sampler(len(seeds), count) == "vectorised":
+    if (kernel or sampler([(len(seeds), count)])[0]) == "vectorised":
         return _philox_rows(seeds, count)
-    bitgen = np.random.Philox(key=0)
-    gen, state = np.random.Generator(bitgen), bitgen.state
+    bitgen, gen, state = _numpy_philox()
     u = np.empty((len(seeds), count))
     for row, seed in zip(u, seeds.tolist()):
         state["state"]["key"][0] = seed
@@ -348,15 +365,16 @@ def sample_block(
     dist: DistributionSpec,
     resolution: int,
     seeds,
+    kernel: str | None = None,
 ) -> np.ndarray:
     """Capacity rows of shape (len(seeds), edges): row i is the field of seeds[i].
 
     Each row equals ``sample_field(box, dist, resolution, seeds[i]).caps``;
-    the law is mapped over the whole block at once.
+    the law is mapped over the whole block at once, drawn by ``kernel``.
     """
     if not is_power_of_two(resolution):
         raise ValueError("resolution must be a positive power of two")
-    u = edge_uniform_rows(seeds, box.edge_count)
+    u = edge_uniform_rows(seeds, box.edge_count, kernel)
     r = float(resolution)
     if dist.is_finite:
         cum = np.cumsum(np.array([float(p) for p in dist.probs]))

@@ -34,7 +34,7 @@ from .capacity import (
 from .cuts import SlabProblem, tau_slab
 from .estimators import (
     EnumerationBudgetError,
-    estimate_nu,
+    estimate_nu_sweep,
     estimate_psi_sweep,
     exact_tail_probability,
 )
@@ -324,18 +324,16 @@ def _run_tau(config, workers):
 def _run_nu(config, workers):
     dist, d, r = _law(config)
     # a slab of half-height k is 2k high; every slab is checked before any run
-    half_heights = [_box(d, n, k_slab=config["k_slab"]).height // 2 for n in config["n_list"]]
-    rows = []
+    slabs = [(n, _box(d, n, k_slab=config["k_slab"]).height // 2) for n in config["n_list"]]
     samplers = Counter(vectorised=0, numpy=0)  # sampling blocks by capacity.sampler kernel
-    for n, k in zip(config["n_list"], half_heights):
-        est = estimate_nu(
-            dist, n, k, config["replications"], config["seed"],
-            d=d, resolution=r, workers=workers, samplers=samplers,
-        )
-        rows.append([
-            d, n, k, est.replications, est.seed, r,
-            est.mean.numerator, est.mean.denominator, _dec(est.mean), _dec(est.stderr),
-        ])
+    estimates = estimate_nu_sweep(
+        dist, slabs, config["replications"], config["seed"],
+        d=d, resolution=r, workers=workers, samplers=samplers,
+    )
+    rows = [[
+        d, e.n, e.k_slab, e.replications, e.seed, r,
+        e.mean.numerator, e.mean.denominator, _dec(e.mean), _dec(e.stderr),
+    ] for e in estimates]
     return [
         "d", "n", "k_slab", "replications", "seed", "resolution",
         "mean_num", "mean_den", "mean", "stderr",

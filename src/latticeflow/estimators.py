@@ -41,34 +41,43 @@ class EnumerationBudgetError(RuntimeError):
 _BLOCK_ELEMENTS = 2**14
 
 
-def _map_indices(fn, count: int, width: int, workers: int, samplers: Counter | None = None) -> list:
-    """``fn(block)`` over consecutive index blocks of range(count), in block order.
-
-    A block holds at most _BLOCK_ELEMENTS // width replicas of ``width``
-    edges each, and there are at least workers * 8 blocks when count allows,
-    so a pool stays balanced. ``samplers`` counts blocks by ``capacity.sampler``.
-    """
-    rows = max(1, min(_BLOCK_ELEMENTS // width, -(-count // (workers * 8))))
-    blocks = [range(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+def _map_indices(jobs, workers: int, samplers: Counter | None = None) -> list[list]:
+    """Per (fn, count, width) job, ``fn(block, kernel)`` over consecutive
+    index blocks of range(count), in block order. A block holds at most
+    _BLOCK_ELEMENTS // width replicas, and a job has at least workers * 8
+    blocks when count allows, so a pool stays balanced. All jobs share one
+    pool; ``capacity.sampler`` picks the kernels of all blocks at once, and
+    ``samplers`` counts them."""
+    blocks = []  # (job, fn, replica range, width) of each block
+    for job, (fn, count, width) in enumerate(jobs):
+        rows = max(1, min(_BLOCK_ELEMENTS // width, -(-count // (workers * 8))))
+        blocks += [(job, fn, range(lo, min(lo + rows, count)), width) for lo in range(0, count, rows)]
+    processes = min(workers, len(blocks))
+    kernels = sampler([(len(block), width) for _, _, block, width in blocks], processes)
     if samplers is not None:
-        samplers.update(sampler(len(block), width) for block in blocks)
-    if workers <= 1 or len(blocks) <= 1:
-        parts = map(fn, blocks)
+        samplers.update(kernels)
+    calls = [partial(fn, block, kernel) for (_, fn, block, _), kernel in zip(blocks, kernels)]
+    if processes <= 1:
+        parts = list(map(_call, calls))
     else:
         # imported here, since loading the pool machinery costs every run
         # ~20 ms; a fork pool starts all its workers on the first submit
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(fn, blocks))
-    return list(parts)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            parts = list(pool.map(_call, calls))
+    return [[part for (j, *_), part in zip(blocks, parts) if j == job] for job in range(len(jobs))]
 
 
-def _block_solve(solve, box, arg, k_disc, dist, resolution, seed, block: range):
+def _call(fn):
+    return fn()
+
+
+def _block_solve(solve, box, arg, k_disc, dist, resolution, seed, block: range, kernel=None):
     """``solve(box, rows, arg)`` on the capacity rows of replicas ``block`` on
-    ``box``, with every sampled capacity floored to the 1/k_disc grid."""
+    ``box``, drawn by ``kernel``, every capacity floored to the 1/k_disc grid."""
     step = _level_step(k_disc, resolution)
-    rows = sample_block(box, dist, resolution, derive_seeds(seed, block))
+    rows = sample_block(box, dist, resolution, derive_seeds(seed, block), kernel)
     rows -= rows % step
     return solve(box, rows, arg)
 
@@ -105,36 +114,36 @@ class NuEstimate:
     stderr: float
 
 
-def estimate_nu(
-    dist: DistributionSpec,
-    n: int,
-    k_slab: int,
-    replications: int,
-    seed: int,
-    *,
-    d: int = 2,
-    resolution: int = DEFAULT_RESOLUTION,
-    workers: int = 1,
-    samplers: Counter | None = None,
-) -> NuEstimate:
-    """Monte Carlo mean of tau(]0,n]^(d-1), k_slab) / n^(d-1), exact rational."""
+def estimate_nu_sweep(
+    dist: DistributionSpec, slabs, replications: int, seed: int, *, d: int = 2,
+    resolution: int = DEFAULT_RESOLUTION, workers: int = 1, samplers: Counter | None = None,
+) -> list[NuEstimate]:
+    """``estimate_nu`` for every (n, k_slab) of ``slabs``, with the replicas
+    of all slabs mapped over one pool."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    base = RectSpec.cube(n, d)
-    slab = base.slab_box(k_slab)
-    never_cut = uncuttable_edge_ids(base, k_slab)
-    fn = partial(_block_solve, _values, slab, never_cut, resolution, dist, resolution, seed)
-    taus = [t for part in _map_indices(fn, replications, slab.edge_count, workers, samplers) for t in part]
-    denom = base.area * resolution
-    mean = Fraction(sum(taus), replications * denom)
-    if replications > 1:
+    jobs = []
+    for n, k_slab in slabs:
+        base = RectSpec.cube(n, d)
+        slab, never_cut = base.slab_box(k_slab), uncuttable_edge_ids(base, k_slab)
+        fn = partial(_block_solve, _values, slab, never_cut, resolution, dist, resolution, seed)
+        jobs.append((fn, replications, slab.edge_count))
+    out = []
+    for (n, k_slab), parts in zip(slabs, _map_indices(jobs, workers, samplers)):
+        taus = [t for part in parts for t in part]
+        denom = n ** (d - 1) * resolution
+        mean = Fraction(sum(taus), replications * denom)
         vals = [t / denom for t in taus]
         avg = sum(vals) / replications
-        var = sum((v - avg) ** 2 for v in vals) / (replications - 1)
-        stderr = math.sqrt(var / replications)
-    else:
-        stderr = 0.0
-    return NuEstimate(d, n, k_slab, replications, seed, resolution, mean, stderr)
+        sq_err = sum((v - avg) ** 2 for v in vals) / max(replications - 1, 1) / replications  # 0 at one
+        out.append(NuEstimate(d, n, k_slab, replications, seed, resolution, mean, math.sqrt(sq_err)))
+    return out
+
+
+def estimate_nu(dist: DistributionSpec, n: int, k_slab: int, replications: int, seed: int,
+                **kwargs) -> NuEstimate:
+    """Monte Carlo mean of tau(]0,n]^(d-1), k_slab) / n^(d-1), exact rational."""
+    return estimate_nu_sweep(dist, [(n, k_slab)], replications, seed, **kwargs)[0]
 
 
 @dataclass(eq=False)
@@ -199,7 +208,7 @@ def estimate_psi_sweep(
     box = BoxSpec((n,) * (d - 1), h)
     grid = sorted(set(thresholds))
     fn = partial(_block_solve, _reached, box, grid, k_disc, dist, resolution, seed)
-    reached, solved = zip(*_map_indices(fn, samples, box.edge_count, workers, samplers))
+    reached, solved = zip(*_map_indices([(fn, samples, box.edge_count)], workers, samplers)[0])
     if tally is not None:
         tally.update(decided_by_bounds=samples - sum(solved), solved=sum(solved))
     reached = np.concatenate(reached)

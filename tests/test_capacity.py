@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import hypothesis
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticeflow import capacity
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
@@ -194,21 +196,48 @@ def test_philox_kernel_equals_numpy(seeds, count):
         assert np.array_equal(row, _fresh_philox(s, count))
 
 
+@pytest.mark.parametrize("rows, count", [(4, 2112), (11, 1408), (2, 6000), (4, 2017), (11, 1409), (2, 6001)])
+def test_philox_kernel_equals_numpy_on_wide_blocks(rows, count):
+    """Few rows of many draws, the blocks of a box that is not tiny."""
+    seeds = [*SEED_EXTREMES, *derive_seeds(7, range(rows)).tolist()][:rows]
+    for row, s in zip(_philox_rows(np.array(seeds, dtype=np.uint64), count), seeds):
+        assert np.array_equal(row, _fresh_philox(s, count))
+
+
 def test_edge_uniform_rows_agree_across_the_sampler_gate():
-    """Blocks of >= 256 rows of <= 32 draws take the array kernel; one row or
-    one draw fewer or more crosses the gate without changing a single draw."""
+    """Both kernels give the same draws, on a whole block, on its parts and
+    on a prefix of longer rows."""
     seeds = derive_seeds(17, range(256))
-    assert sampler(256, 32) == "vectorised"
-    assert sampler(255, 32) == sampler(256, 33) == sampler(1, 6) == "numpy"
-    rows = edge_uniform_rows(seeds, 32)
-    split = [edge_uniform_rows(seeds[:255], 32), edge_uniform_rows(seeds[255:], 32)]
+    rows = edge_uniform_rows(seeds, 32, "vectorised")
+    assert np.array_equal(rows, edge_uniform_rows(seeds, 32, "numpy"))
+    split = [edge_uniform_rows(seeds[:255], 32, "numpy"), edge_uniform_rows(seeds[255:], 32, "vectorised")]
     assert np.array_equal(rows, np.vstack(split))
-    assert np.array_equal(rows, edge_uniform_rows(seeds, 33)[:, :32])
+    assert np.array_equal(rows, edge_uniform_rows(seeds, 33, "numpy")[:, :32])
     assert np.array_equal(rows, edge_uniform_rows(seeds.tolist(), 32))
     # seeds of any integer dtype are read as ints and checked
     assert np.array_equal(edge_uniform_rows(np.arange(300), 6), edge_uniform_rows(list(range(300)), 6))
     with pytest.raises(ValueError):
         edge_uniform_rows(np.arange(-1, 299), 6)
+
+
+def test_sampler_weighs_the_numpy_random_import(monkeypatch):
+    """Before numpy.random is loaded, a run takes the array kernel unless its
+    extra time passes the import in every drawing process; once loaded, each
+    block takes its cheaper kernel."""
+    import numpy.random  # noqa: F401  (loaded, whatever the test order)
+
+    wide, tiny, psi_grid = (1, 32768), (2500, 6), [(4, 2016)] * 7 + [(2, 2016)]
+    assert sampler([wide] * 300 + [tiny]) == ["numpy"] * 300 + ["vectorised"]
+    assert sampler([(1, 6)]) == sampler(psi_grid)[:1] == ["numpy"]
+    block = (11, 1408)
+    extra = capacity._KERNEL_MS["vectorised"](*block) - capacity._KERNEL_MS["numpy"](*block)
+    between = math.ceil(1.5 * capacity._IMPORT_MS / extra)  # extra of 1.5 imports
+    monkeypatch.delitem(sys.modules, "numpy.random")
+    assert sampler([wide] * 300 + [tiny]) == ["numpy"] * 300 + ["vectorised"]
+    assert sampler([(1, 6)]) == ["vectorised"]
+    assert sampler(psi_grid) == ["vectorised"] * 8
+    assert sampler([block] * between, processes=1) == ["numpy"] * between
+    assert sampler([block] * between, processes=2) == ["vectorised"] * between
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
@@ -225,8 +254,8 @@ def test_block_rows_equal_one_seed_sampling(law, box):
 @pytest.mark.parametrize("box", [BoxSpec((3,), 2), BoxSpec((5,), 3)])
 def test_vectorised_block_rows_equal_one_seed_sampling(law, box):
     seeds = EDGE_SEEDS + derive_seeds(6, range(300)).tolist()
-    assert sampler(len(seeds), box.edge_count) == "vectorised"
-    block = sample_block(box, law, R, seeds)
+    block = sample_block(box, law, R, seeds, "vectorised")
+    assert np.array_equal(block, sample_block(box, law, R, seeds, "numpy"))
     for row, s in zip(block, seeds):
         assert np.array_equal(row, sample_field(box, law, R, s).caps)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import latticeflow
-from latticeflow import capacity
+from latticeflow import estimators
 from latticeflow.capacity import DistributionSpec
 from latticeflow.cli import (
     EXIT_BUDGET,
@@ -498,7 +499,9 @@ def test_fractional_height_coeff_rounds_up(tmp_path, rule, coeff, n, h):
 def test_sidecar_names_value_solver(tmp_path):
     """The psi and nu sidecars name the value solver and count the sampling
     blocks each kernel drew: 2048 psi replicas of a 2x2 box fill 8 blocks of
-    256 rows, two nu replicas on each of two slabs 4 one-row blocks."""
+    256 rows, two nu replicas on each of two slabs 4 one-row blocks. Runs in
+    a fresh interpreter, where numpy.random is unloaded unless numpy < 2
+    loads it eagerly, so the one-row blocks also take the array kernel."""
     psi = write_config(
         tmp_path, "psi.json",
         {"seed": 13, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 2048},
@@ -507,12 +510,22 @@ def test_sidecar_names_value_solver(tmp_path):
         tmp_path, "nu.json",
         {"seed": 13, "distribution": BERN, "d": 3, "n_list": [2, 3], "k_slab": 1, "replications": 2},
     )
-    for command, cfg, solver, blocks in (
-        ("psi", psi, "planar_dual", {"vectorised": 8, "numpy": 0}),
-        ("nu", nu, "search_trees", {"vectorised": 0, "numpy": 4}),
+    argvs = [[command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv")]
+             for command, cfg in (("psi", psi), ("nu", nu))]
+    code = (
+        "import json, sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from latticeflow.cli import main\n"
+        "print(json.dumps([eager, [main(argv) for argv in json.loads(sys.argv[1])]]))"
+    )
+    eager, codes = json.loads(_python(code, json.dumps(argvs)))
+    assert codes == [EXIT_OK, EXIT_OK]
+    nu_blocks = {"vectorised": 0, "numpy": 4} if eager else {"vectorised": 4, "numpy": 0}
+    for command, solver, blocks in (
+        ("psi", "planar_dual", {"vectorised": 8, "numpy": 0}),
+        ("nu", "search_trees", nu_blocks),
     ):
         out = tmp_path / f"{command}.csv"
-        assert run([command, "--config", cfg, "--out", out]) == EXIT_OK
         meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
         assert meta["value_solver"] == solver
         assert meta["sampler_blocks"] == blocks
@@ -633,6 +646,79 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert _python(code, *heavy).strip() == "[]"
 
 
+def _force_numpy(monkeypatch):
+    """Every block of every run in this process draws through numpy's generator."""
+    monkeypatch.setattr(estimators, "sampler", lambda blocks, processes: ["numpy"] * len(blocks))
+
+
+# Logs each process that imports numpy.random; forked pool workers inherit the hook.
+_WATCH_NUMPY_RANDOM = (
+    "import os, sys\n"
+    "class Watch:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy.random':\n"
+    "            open(os.environ['NUMPY_RANDOM_LOG'], 'a').write(f'{os.getpid()}\\n')\n"
+    "sys.meta_path.insert(0, Watch())\n"
+)
+
+
+@pytest.mark.parametrize("command, workers", [("psi", 1), ("nu", 1), ("nu", 2)])
+def test_short_runs_never_load_numpy_random(tmp_path, monkeypatch, command, workers):
+    """The 32x32 uniform psi run of the benchmark and the small nu run of the
+    CI, at one and two workers, sample every block with the array kernel, so
+    no process loads numpy.random, and their CSVs equal those of runs forced
+    onto numpy's generator."""
+    configs = {
+        "psi": {"seed": 1, "distribution": {"kind": "uniform", "a": "0", "b": "1"}, "d": 2,
+                "n": 32, "height": 32, "lambdas": ["0.2", "0.3", "0.4", "0.5"], "samples": 30},
+        "nu": {"seed": 1, "distribution": {"kind": "exponential", "rate": 1.0}, "d": 3,
+               "n_list": [2], "k_slab": 1, "replications": 4},
+    }
+    cfg = write_config(tmp_path, "c.json", configs[command])
+    argv = [command, "--config", cfg, "--workers", str(workers)]
+    log = tmp_path / "numpy_random.log"
+    monkeypatch.setenv("NUMPY_RANDOM_LOG", str(log))
+    code = _WATCH_NUMPY_RANDOM + (
+        "import json, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from latticeflow.cli import main\n"
+        "print(json.dumps([eager, main(json.loads(sys.argv[1]))]))"
+    )
+    eager, exit_code = json.loads(_python(code, json.dumps([*argv, "--out", str(tmp_path / "a.csv")])))
+    assert exit_code == EXIT_OK
+    if not eager:
+        assert not log.exists()
+        meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert meta["sampler_blocks"]["numpy"] == 0
+    _force_numpy(monkeypatch)
+    assert run([*argv, "--out", tmp_path / "b.csv"]) == EXIT_OK
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert json.loads((tmp_path / "b.csv.meta.json").read_text())["sampler_blocks"]["vectorised"] == 0
+
+
+def test_two_slab_nu_forks_one_pool(tmp_path, monkeypatch):
+    """A nu run maps the replicas of all its slabs over one pool, and its
+    CSV equals that of a one-worker run."""
+    sizes = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    cfg = write_config(
+        tmp_path, "nu.json",
+        {"seed": 1, "distribution": {"kind": "exponential", "rate": 1.0}, "d": 3,
+         "n_list": [2, 3], "k_slab": 1, "replications": 4},
+    )
+    assert run(["nu", "--config", cfg, "--out", tmp_path / "serial.csv"]) == EXIT_OK
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    assert run(["nu", "--config", cfg, "--workers", "2", "--out", tmp_path / "pooled.csv"]) == EXIT_OK
+    assert sizes == [2]
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+    assert len((tmp_path / "serial.csv").read_text().splitlines()) == 3
+
+
 def test_tiny_box_psi_leaves_numpy_random_unloaded(monkeypatch):
     """The 2x2 bernoulli(0.9) box at 20 000 replicas samples every block with
     the array kernel, so numpy.random is never imported, and its hit counts
@@ -649,7 +735,7 @@ def test_tiny_box_psi_leaves_numpy_random_unloaded(monkeypatch):
     eager, loaded, hits = json.loads(_python(code))
     if not eager:
         assert not loaded
-    monkeypatch.setattr(capacity, "sampler", lambda rows, count: "numpy")
+    _force_numpy(monkeypatch)
     est = estimate_psi_sweep(DistributionSpec.bernoulli("0.9"), ["0.5", "1"], 2, 2, 2**20, 20000, 1)
     assert hits == [e.hits for e in est]
 

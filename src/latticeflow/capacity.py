@@ -283,8 +283,9 @@ def sampler(blocks, processes: int = 1) -> list[str]:
 
     Unless numpy.random is loaded (numpy < 2 loads it with numpy), a run takes
     the array kernel while its summed extra time stays below the import (14 ms,
-    +5.4 MB RSS) in each of ``processes``; else each block takes its cheaper
-    kernel. Median ms of 25 calls (2-core x86, python 3.11, numpy 2.4):
+    +5.4 MB RSS) in each of ``processes`` that would load it only for numpy's
+    kernel (none for a law that ``loads_numpy_random``); else each block takes
+    its cheaper kernel. Median ms of 25 calls (2-core x86, python 3.11, numpy 2.4):
 
         kernel      per call  per row  per draw   1x6   1x32640  4x2016  256x6
         vectorised  0.28      -        60e-6      0.23  2.03     0.65    0.42
@@ -294,6 +295,12 @@ def sampler(blocks, processes: int = 1) -> list[str]:
     extra = sum(_KERNEL_MS["vectorised"](*b) - _KERNEL_MS[k](*b) for b, k in zip(blocks, cheaper))
     loaded = "numpy.random" in sys.modules
     return cheaper if loaded or extra >= _IMPORT_MS * processes else ["vectorised"] * len(blocks)
+
+
+def loads_numpy_random(dist: DistributionSpec) -> bool:
+    """Whether ``sample_block`` loads numpy.random for ``dist`` on any kernel:
+    half_normal's ``scipy.special`` import does."""
+    return dist.kind == HALF_NORMAL
 
 
 def _philox_rows(seeds: np.ndarray, count: int) -> np.ndarray:

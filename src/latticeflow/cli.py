@@ -282,6 +282,17 @@ def _k_disc(config, resolution: int) -> int:
     return k
 
 
+def _peak_rss_mb() -> float | None:
+    """Largest resident set of this process and of its reaped children, in MiB
+    (``ru_maxrss`` is KiB on Linux and bytes on macOS); None without ``resource``."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
+    peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 2)
+
+
 def _run_sample(config, workers):
     dist, d, r = _law(config)
     box = _box(d, config["n"], config["height"])
@@ -337,7 +348,7 @@ def _run_nu(config, workers):
     return [
         "d", "n", "k_slab", "replications", "seed", "resolution",
         "mean_num", "mean_den", "mean", "stderr",
-    ], rows, {"value_solver": value_solver(d), "sampler_blocks": samplers}
+    ], rows, {"value_solver": value_solver(d), "sampler_blocks": samplers, "peak_rss_mb": _peak_rss_mb()}
 
 
 def _run_psi(config, workers):
@@ -360,7 +371,8 @@ def _run_psi(config, workers):
     return [
         "lam", "lam_exact", "d", "n", "h", "k_disc", "samples", "hits",
         "hit_rate", "psi_hat", "psi_ci_lo", "psi_ci_hi", "infinite_flag", "seed",
-    ], rows, {"value_solver": value_solver(d), "solver_counts": tally, "sampler_blocks": samplers}
+    ], rows, {"value_solver": value_solver(d), "solver_counts": tally, "sampler_blocks": samplers,
+              "peak_rss_mb": _peak_rss_mb()}
 
 
 def _run_oracle(config, workers):
@@ -386,7 +398,7 @@ def _run_oracle(config, workers):
 def _run_verify(config, workers):
     results = run_all(config["seed"], config.get("scale", 1.0))
     rows = [[r.name, r.trials, r.violations, "pass" if r.passed else "FAIL"] for r in results]
-    return ["property", "trials", "violations", "status"], rows
+    return ["property", "trials", "violations", "status"], rows, {"peak_rss_mb": _peak_rss_mb()}
 
 
 def _run_report(config, workers):

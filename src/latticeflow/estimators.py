@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +27,7 @@ from .capacity import (
     _unit_table,
     as_fraction,
     derive_seeds,
+    loads_numpy_random,
     sample_block,
     sampler,
 )
@@ -42,35 +46,87 @@ _BLOCK_ELEMENTS = 2**14
 
 
 def _map_indices(jobs, workers: int, samplers: Counter | None = None) -> list[list]:
-    """Per (fn, count, width) job, ``fn(block, kernel)`` over consecutive
+    """Per (fn, count, width, dist) job, ``fn(block, kernel)`` over consecutive
     index blocks of range(count), in block order. A block holds at most
     _BLOCK_ELEMENTS // width replicas, and a job has at least workers * 8
-    blocks when count allows, so a pool stays balanced. All jobs share one
-    pool; ``capacity.sampler`` picks the kernels of all blocks at once, and
-    ``samplers`` counts them."""
+    blocks when count allows, so the workers stay balanced. All jobs share
+    one fork-join map (``_fork_map``); ``capacity.sampler`` picks the kernels
+    of all blocks at once, before the fork, and ``samplers`` counts them. A
+    law whose sampling loads numpy.random anyway (``half_normal``) leaves no
+    import for the array kernel to save."""
     blocks = []  # (job, fn, replica range, width) of each block
-    for job, (fn, count, width) in enumerate(jobs):
+    for job, (fn, count, width, _) in enumerate(jobs):
         rows = max(1, min(_BLOCK_ELEMENTS // width, -(-count // (workers * 8))))
         blocks += [(job, fn, range(lo, min(lo + rows, count)), width) for lo in range(0, count, rows)]
     processes = min(workers, len(blocks))
-    kernels = sampler([(len(block), width) for _, _, block, width in blocks], processes)
+    loaded = any(loads_numpy_random(dist) for *_, dist in jobs)
+    kernels = sampler([(len(block), width) for _, _, block, width in blocks], 0 if loaded else processes)
     if samplers is not None:
         samplers.update(kernels)
     calls = [partial(fn, block, kernel) for (_, fn, block, _), kernel in zip(blocks, kernels)]
-    if processes <= 1:
-        parts = list(map(_call, calls))
+    if processes <= 1 or not hasattr(os, "fork"):
+        parts = [call() for call in calls]
     else:
-        # imported here, since loading the pool machinery costs every run
-        # ~20 ms; a fork pool starts all its workers on the first submit
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(_call, calls))
+        parts = _fork_map(calls, processes)
     return [[part for (j, *_), part in zip(blocks, parts) if j == job] for job in range(len(jobs))]
 
 
-def _call(fn):
-    return fn()
+def _fork_map(calls, processes: int) -> list:
+    """``call()`` for every call, in call order, over ``processes`` forked
+    children: child i runs calls i, i + processes, ... and pickles back one
+    ``(ok, results or exception)`` through its own pipe. The children inherit
+    the calls, so nothing is pickled on the way in, and the parent runs none.
+    A child's exception is raised as it is; a child that ends without a
+    result raises RuntimeError. Every child is reaped on every path, after a
+    SIGKILL if the map ends early."""
+    pids, pipes, reaped = [], [], set()
+    try:
+        for i in range(processes):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _child(calls[i::processes], w)
+            pids.append(pid)
+            os.close(w)
+            pipes.append(open(r, "rb"))
+        parts = [None] * len(calls)
+        for i, (pid, pipe) in enumerate(zip(pids, pipes)):
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without a result (wait status {status})")
+            ok, out = pickle.loads(data)
+            if not ok:
+                raise out
+            parts[i::processes] = out
+        return parts
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        live = [pid for pid in pids if pid not in reaped]
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        for pid in live:
+            os.waitpid(pid, 0)
+
+
+def _child(calls, w: int):
+    """The body of a forked child: write ``(ok, results or exception)`` to
+    ``w`` and end the process, skipping the parent's exit handlers."""
+    code = 1
+    try:
+        try:
+            out = True, [call() for call in calls]
+        except BaseException as exc:  # the parent raises it
+            out = False, exc
+        data = pickle.dumps(out)
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _block_solve(solve, box, arg, k_disc, dist, resolution, seed, block: range, kernel=None):
@@ -119,7 +175,7 @@ def estimate_nu_sweep(
     resolution: int = DEFAULT_RESOLUTION, workers: int = 1, samplers: Counter | None = None,
 ) -> list[NuEstimate]:
     """``estimate_nu`` for every (n, k_slab) of ``slabs``, with the replicas
-    of all slabs mapped over one pool."""
+    of all slabs mapped over one fork-join map."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
     jobs = []
@@ -127,7 +183,7 @@ def estimate_nu_sweep(
         base = RectSpec.cube(n, d)
         slab, never_cut = base.slab_box(k_slab), uncuttable_edge_ids(base, k_slab)
         fn = partial(_block_solve, _values, slab, never_cut, resolution, dist, resolution, seed)
-        jobs.append((fn, replications, slab.edge_count))
+        jobs.append((fn, replications, slab.edge_count, dist))
     out = []
     for (n, k_slab), parts in zip(slabs, _map_indices(jobs, workers, samplers)):
         taus = [t for part in parts for t in part]
@@ -208,7 +264,7 @@ def estimate_psi_sweep(
     box = BoxSpec((n,) * (d - 1), h)
     grid = sorted(set(thresholds))
     fn = partial(_block_solve, _reached, box, grid, k_disc, dist, resolution, seed)
-    reached, solved = zip(*_map_indices([(fn, samples, box.edge_count)], workers, samplers)[0])
+    reached, solved = zip(*_map_indices([(fn, samples, box.edge_count, dist)], workers, samplers)[0])
     if tally is not None:
         tally.update(decided_by_bounds=samples - sum(solved), solved=sum(solved))
     reached = np.concatenate(reached)

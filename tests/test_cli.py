@@ -1,8 +1,8 @@
-import concurrent.futures
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +17,7 @@ from latticeflow.capacity import DistributionSpec
 from latticeflow.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
+    EXIT_ERROR,
     EXIT_OK,
     EXIT_OVERFLOW,
     MAX_SAMPLED_EDGES,
@@ -510,8 +511,9 @@ def test_sidecar_names_value_solver(tmp_path):
         tmp_path, "nu.json",
         {"seed": 13, "distribution": BERN, "d": 3, "n_list": [2, 3], "k_slab": 1, "replications": 2},
     )
+    verify = write_config(tmp_path, "verify.json", {"seed": 13, "scale": 0.0001})
     argvs = [[command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv")]
-             for command, cfg in (("psi", psi), ("nu", nu))]
+             for command, cfg in (("psi", psi), ("nu", nu), ("verify", verify))]
     code = (
         "import json, sys, numpy\n"
         "eager = 'numpy.random' in sys.modules\n"
@@ -519,7 +521,12 @@ def test_sidecar_names_value_solver(tmp_path):
         "print(json.dumps([eager, [main(argv) for argv in json.loads(sys.argv[1])]]))"
     )
     eager, codes = json.loads(_python(code, json.dumps(argvs)))
-    assert codes == [EXIT_OK, EXIT_OK]
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_OK]
+    for command in ("psi", "nu", "verify"):
+        out = tmp_path / f"{command}.csv"
+        peak = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())["peak_rss_mb"]
+        assert 1 < peak < 2**12  # MiB: a CLI process holds tens of them
+        assert "rss" not in out.read_text()
     nu_blocks = {"vectorised": 0, "numpy": 4} if eager else {"vectorised": 4, "numpy": 0}
     for command, solver, blocks in (
         ("psi", "planar_dual", {"vectorised": 8, "numpy": 0}),
@@ -530,6 +537,43 @@ def test_sidecar_names_value_solver(tmp_path):
         assert meta["value_solver"] == solver
         assert meta["sampler_blocks"] == blocks
         assert solver not in out.read_text() and "vectorised" not in out.read_text()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+def test_peak_rss_counts_reaped_children():
+    """A forked block that touches 96 MiB sets the peak the sidecar records,
+    although the parent never holds that array."""
+    code = (
+        "import resource, numpy as np\n"
+        "from latticeflow import cli, estimators\n"
+        "estimators._fork_map([lambda: float(np.ones(12 * 2**20).sum()), lambda: 0.0], 2)\n"
+        "usage = [resource.getrusage(who).ru_maxrss / 1024\n"
+        "         for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]\n"
+        "print(*usage, cli._peak_rss_mb())"
+    )
+    own, children, peak = map(float, _python(code).split())
+    assert own < children and 96 < children
+    assert peak == round(children, 2)
+
+
+def test_half_normal_psi_draws_through_numpy(tmp_path, monkeypatch):
+    """Sampling half_normal imports scipy.special, which loads numpy.random,
+    so the run leaves no import for the array kernel to save: a 3x3 box at
+    500 samples draws its 8 blocks through numpy even in a fresh interpreter,
+    with the CSV of a run forced onto the array kernel."""
+    cfg = write_config(
+        tmp_path, "hn.json",
+        {"seed": 1, "distribution": {"kind": "half_normal", "sigma": 1.0}, "n": 3, "height": 3,
+         "lambdas": ["0.5", "1.0", "1.5"], "samples": 500},
+    )
+    argv = ["psi", "--config", cfg, "--out", str(tmp_path / "numpy.csv")]
+    code = "import json, sys\nfrom latticeflow.cli import main\nprint(main(json.loads(sys.argv[1])))"
+    assert int(_python(code, json.dumps(argv))) == EXIT_OK
+    meta = json.loads((tmp_path / "numpy.csv.meta.json").read_text())
+    assert meta["sampler_blocks"] == {"vectorised": 0, "numpy": 8}
+    monkeypatch.setattr(estimators, "sampler", lambda blocks, processes: ["vectorised"] * len(blocks))
+    assert run(["psi", "--config", cfg, "--out", tmp_path / "vectorised.csv"]) == EXIT_OK
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "vectorised.csv").read_bytes()
 
 
 def test_sidecar_counts_bound_decisions(tmp_path):
@@ -639,11 +683,26 @@ def _python(code: str, *args) -> str:
     return done.stdout
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    """A run pays for neither jsonschema nor the process pool unless it opens one."""
+def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
+    """Importing the CLI loads neither jsonschema, a process pool nor scipy,
+    and a nu run forked over two workers loads no process pool either."""
     heavy = ["jsonschema", "concurrent.futures.process", "multiprocessing", "scipy"]
     code = "import sys, latticeflow.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
     assert _python(code, *heavy).strip() == "[]"
+    cfg = write_config(
+        tmp_path, "nu.json",
+        {"seed": 1, "distribution": {"kind": "exponential", "rate": 1.0}, "d": 3,
+         "n_list": [2], "k_slab": 1, "replications": 4},
+    )
+    argv = ["nu", "--config", cfg, "--workers", "2", "--out", str(tmp_path / "nu.csv")]
+    code = (
+        "import json, sys\n"
+        "from latticeflow.cli import main\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, [m for m in sys.argv[2:] if m in sys.modules]]))"
+    )
+    pool = ["concurrent.futures.process", "multiprocessing"]
+    assert json.loads(_python(code, json.dumps(argv), *pool)) == [EXIT_OK, []]
 
 
 def _force_numpy(monkeypatch):
@@ -697,14 +756,14 @@ def test_short_runs_never_load_numpy_random(tmp_path, monkeypatch, command, work
 
 
 def test_two_slab_nu_forks_one_pool(tmp_path, monkeypatch):
-    """A nu run maps the replicas of all its slabs over one pool, and its
-    CSV equals that of a one-worker run."""
+    """A nu run maps the replicas of all its slabs over one fork-join map,
+    and its CSV equals that of a one-worker run."""
     sizes = []
+    fork_map = estimators._fork_map
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def counting_fork_map(calls, processes):
+        sizes.append(processes)
+        return fork_map(calls, processes)
 
     cfg = write_config(
         tmp_path, "nu.json",
@@ -712,11 +771,51 @@ def test_two_slab_nu_forks_one_pool(tmp_path, monkeypatch):
          "n_list": [2, 3], "k_slab": 1, "replications": 4},
     )
     assert run(["nu", "--config", cfg, "--out", tmp_path / "serial.csv"]) == EXIT_OK
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(estimators, "_fork_map", counting_fork_map)
     assert run(["nu", "--config", cfg, "--workers", "2", "--out", tmp_path / "pooled.csv"]) == EXIT_OK
     assert sizes == [2]
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
     assert len((tmp_path / "serial.csv").read_text().splitlines()) == 3
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_overflow_exits_4(tmp_path):
+    """A CapacityOverflowError raised in a forked child reaches the CLI as
+    itself: every slab replica's total passes 2**63 - 1."""
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"seed": 1, "d": 3, "resolution": 2**62, "n_list": [2], "k_slab": 1, "replications": 3,
+         "distribution": {"kind": "bernoulli", "p": "1", "lo": 0, "hi": 1}},
+    )
+    assert run(["nu", "--config", cfg, "--workers", "2", "--out", tmp_path / "o.csv"]) == EXIT_OVERFLOW
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("end", ["exit", "kill"])
+def test_crashed_child_exits_1(tmp_path, monkeypatch, end):
+    """A child that ends without a result, by os._exit or SIGKILL, makes the
+    run exit 1 and leaves no child behind."""
+    parent = os.getpid()
+
+    def crash(*args):
+        assert os.getpid() != parent, "a block ran in the parent"
+        if end == "exit":
+            os._exit(3)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(estimators, "_block_solve", crash)
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"seed": 1, "distribution": {"kind": "exponential", "rate": 1.0}, "d": 3,
+         "n_list": [2], "k_slab": 1, "replications": 4},
+    )
+    assert run(["nu", "--config", cfg, "--workers", "2", "--out", tmp_path / "o.csv"]) == EXIT_ERROR
+    assert not (tmp_path / "o.csv").exists()
+    _assert_no_child_left()
 
 
 def test_tiny_box_psi_leaves_numpy_random_unloaded(monkeypatch):

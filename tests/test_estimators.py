@@ -1,7 +1,10 @@
-import concurrent.futures
 import itertools
 import math
+import os
+import signal
+import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -199,36 +202,71 @@ def test_psi_rejects_bad_discretisation_level(k_disc):
         estimate_psi_sweep(BERN09, [0.5], 2, 2, k_disc, 5, seed=37)
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and maps serially."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 def test_pool_is_no_larger_than_the_block_count(monkeypatch):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    sizes = []
+    fork_map = estimators._fork_map
+
+    def recording_fork_map(calls, processes):
+        sizes.append(processes)
+        return fork_map(calls, processes)
+
+    monkeypatch.setattr(estimators, "_fork_map", recording_fork_map)
     dist = DistributionSpec.uniform(0, 1)
     serial = estimate_psi_sweep(dist, [0.3, 0.5], 2, 2, R, 3, seed=38)
     nu_serial = estimate_nu(dist, 2, 1, 3, seed=38)
-    assert RecordingPool.sizes == []
+    assert sizes == []
     pooled = estimate_psi_sweep(dist, [0.3, 0.5], 2, 2, R, 3, seed=38, workers=64)
     nu_pooled = estimate_nu(dist, 2, 1, 3, seed=38, workers=64)
-    assert RecordingPool.sizes == [3, 3]  # one replica per block, three blocks
+    assert sizes == [3, 3]  # one replica per block, three blocks
     assert [e.hits for e in pooled] == [e.hits for e in serial]
     assert (nu_pooled.mean, nu_pooled.stderr) == (nu_serial.mean, nu_serial.stderr)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_keeps_call_order():
+    """Child i runs calls i, i + 3, ...; the results come back in call order,
+    and every call ran outside the parent."""
+    parent = os.getpid()
+    calls = [partial(lambda i: (i, os.getpid() != parent), i) for i in range(10)]
+    assert estimators._fork_map(calls, 3) == [(i, True) for i in range(10)]
+    _assert_no_child_left()
+
+
+def test_fork_map_raises_a_child_exception_as_it_is():
+    def overflow():
+        raise CapacityOverflowError("row 7 passes 2**63")
+
+    with pytest.raises(CapacityOverflowError, match="row 7 passes 2\\*\\*63") as raised:
+        estimators._fork_map([lambda: 1, overflow, lambda: 3], 2)
+    assert raised.type is CapacityOverflowError
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("end, status", [
+    (lambda: os._exit(3), "768"),  # exit code 3 in the high byte of the wait status
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), str(signal.SIGKILL.value)),
+], ids=["exit", "kill"])
+def test_fork_map_names_a_child_that_left_no_result(end, status):
+    with pytest.raises(RuntimeError, match=f"wait status {status}\\)"):
+        estimators._fork_map([lambda: 1, end], 2)
+    _assert_no_child_left()
+
+
+def test_fork_map_kills_the_children_left_when_one_fails():
+    """Child 0 fails at once while child 1 would sleep for a minute: the map
+    raises without waiting for it."""
+    def fail():
+        raise ValueError("block 0")
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="block 0"):
+        estimators._fork_map([fail, partial(time.sleep, 60)], 2)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_psi_lambda_zero_always_hits():

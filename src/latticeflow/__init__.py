@@ -47,15 +47,11 @@ from .flow import (
     validate_stream,
 )
 from .junction import (
-    BoundaryCondition,
     DiscreteStream,
     JunctionHypothesisError,
-    boundary_condition,
-    boundary_count_bound,
     discrete_max_flow_stream,
     flip_vertical,
     join_streams,
-    truncated_projection,
 )
 from .lattice import (
     BoxSpec,

@@ -11,7 +11,8 @@ evaluation order, and replica workers can sample concurrently. The draws
 are numpy's ``Philox(key=seed)`` stream, a pure function of key and counter
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). So
 ``sampler`` picks once per run between numpy's generator, re-keyed per row,
-and an array Philox over all rows at once, which never loads numpy.random.
+and an array Philox over all rows at once, which never loads numpy.random
+and also feeds ``_IntegerStream``, numpy's bounded integers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ EXPONENTIAL = "exponential"
 HALF_NORMAL = "half_normal"
 
 _FINITE_KINDS = (BERNOULLI, FINITE_DISCRETE)
-_CONTINUOUS_KINDS = (UNIFORM, EXPONENTIAL, HALF_NORMAL)
 
 
 class CapacityOverflowError(OverflowError):
@@ -303,14 +303,13 @@ def loads_numpy_random(dist: DistributionSpec) -> bool:
     return dist.kind == HALF_NORMAL
 
 
-def _philox_rows(seeds: np.ndarray, count: int) -> np.ndarray:
-    """Row i is ``Generator(Philox(key=seeds[i])).random(count)``, bit for bit.
+def _philox_words(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Row i is ``Philox(key=seeds[i]).random_raw(count)``, bit for bit.
 
     All counter blocks of all rows run the ten rounds at once; the key
     ``[seed, 0]`` is bumped between rounds. Counters start at 1, as numpy
     increments before its first buffer. High product words are summed from
-    32-bit halves, no partial sum passing 2**64, and word x gives
-    ``(x >> 11) * 2**-53``, numpy's ``next_double``.
+    32-bit halves, no partial sum passing 2**64.
     """
     blocks = -(-count // 4)
     key = np.stack([seeds, np.zeros_like(seeds)])[:, :, None]
@@ -324,8 +323,36 @@ def _philox_rows(seeds: np.ndarray, count: int) -> np.ndarray:
         u = _PHILOX_M_LO * hi + (t & _MASK32)
         high = _PHILOX_M_HI * hi + (t >> 32) + (u >> 32)
         even, odd = high[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
-    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(len(seeds), -1)
-    return (words[:, :count] >> 11) * 2.0**-53
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(len(seeds), 4 * blocks)
+    return words[:, :count]
+
+
+class _IntegerStream:
+    """``Generator(Philox(key=seed)).integers(lo, hi)``, call for call, for
+    ranges of at most 2**32 integers. As in numpy, each ``_philox_words`` word
+    gives two 32-bit draws, low half first, a call may stop between them, and
+    a range of one integer takes none. Draw x gives ``lo + (x * width >> 32)``
+    unless the low half of that product is below ``2**32 % width``; then the
+    next draw replaces it (Lemire, ACM TOMACS 29(1), 2019)."""
+
+    def __init__(self, seed: int):
+        self._seed = np.array([_check_seed(seed)], dtype=np.uint64)
+        self._halves: list[int] = []
+        self._next = 0  # index of the next draw in _halves, which doubles when used up
+
+    def integers(self, lo: int, hi: int) -> int:
+        width = hi - lo
+        if not 1 <= width <= 2**32:
+            raise ValueError("the stream draws from ranges of 1 to 2**32 integers")
+        while width > 1:
+            if self._next == len(self._halves):
+                words = _philox_words(self._seed, max(32, len(self._halves)))[0]
+                self._halves = np.stack([words & _MASK32, words >> 32], axis=-1).ravel().tolist()
+            m = self._halves[self._next] * width
+            self._next += 1
+            if m & _MASK32 >= 2**32 % width:
+                return lo + (m >> 32)
+        return lo
 
 
 @lru_cache(maxsize=1)  # one re-keyable generator per process, made at its first numpy draw
@@ -335,14 +362,14 @@ def _numpy_philox():
 
 
 def edge_uniform_rows(seeds, count: int, kernel: str | None = None) -> np.ndarray:
-    """Row i is ``edge_uniforms(seeds[i], count)``, drawn by ``kernel`` (by
-    default ``sampler``'s pick for this block alone). The numpy one re-keys
-    a generator to the state of a fresh ``Philox(key=seed)``."""
+    """Row i holds [0, 1) draws, draw j a function of (seeds[i], j) alone, by
+    ``kernel`` (by default ``sampler``'s pick for this block alone). The numpy
+    one re-keys a generator to the state of a fresh ``Philox(key=seed)``."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):  # any uint64 is a seed
         seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
         seeds = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
     if (kernel or sampler([(len(seeds), count)])[0]) == "vectorised":
-        return _philox_rows(seeds, count)
+        return (_philox_words(seeds, count) >> 11) * 2.0**-53  # numpy's next_double
     bitgen, gen, state = _numpy_philox()
     u = np.empty((len(seeds), count))
     for row, seed in zip(u, seeds.tolist()):
@@ -350,11 +377,6 @@ def edge_uniform_rows(seeds, count: int, kernel: str | None = None) -> np.ndarra
         bitgen.state = state
         gen.random(out=row)
     return u
-
-
-def edge_uniforms(seed: int, count: int) -> np.ndarray:
-    """Uniform [0, 1) draws where draw i depends only on (seed, i)."""
-    return edge_uniform_rows([seed], count)[0]
 
 
 def _unit_table(dist: DistributionSpec, resolution: int) -> np.ndarray:
@@ -367,21 +389,11 @@ def _unit_table(dist: DistributionSpec, resolution: int) -> np.ndarray:
     return np.array(units, dtype=np.int64)
 
 
-def sample_block(
-    box: BoxSpec,
-    dist: DistributionSpec,
-    resolution: int,
-    seeds,
-    kernel: str | None = None,
-) -> np.ndarray:
-    """Capacity rows of shape (len(seeds), edges): row i is the field of seeds[i].
-
-    Each row equals ``sample_field(box, dist, resolution, seeds[i]).caps``;
-    the law is mapped over the whole block at once, drawn by ``kernel``.
-    """
+def caps_from_uniforms(dist: DistributionSpec, resolution: int, u: np.ndarray) -> np.ndarray:
+    """int64 capacity units of ``dist`` for uniform draws ``u`` of any shape:
+    the draw's quantile, floored onto the 1/resolution grid."""
     if not is_power_of_two(resolution):
         raise ValueError("resolution must be a positive power of two")
-    u = edge_uniform_rows(seeds, box.edge_count, kernel)
     r = float(resolution)
     if dist.is_finite:
         cum = np.cumsum(np.array([float(p) for p in dist.probs]))
@@ -402,6 +414,17 @@ def sample_block(
     if not (x < 2.0**63).all():  # also false for inf and NaN
         raise CapacityOverflowError("a sampled capacity overflows 64-bit capacity units")
     return x.astype(np.int64)
+
+
+def sample_block(
+    box: BoxSpec, dist: DistributionSpec, resolution: int, seeds, kernel: str | None = None
+) -> np.ndarray:
+    """Capacity rows of shape (len(seeds), edges): row i is the field of seeds[i].
+
+    Each row equals ``sample_field(box, dist, resolution, seeds[i]).caps``;
+    the law is mapped over the whole block at once, drawn by ``kernel``.
+    """
+    return caps_from_uniforms(dist, resolution, edge_uniform_rows(seeds, box.edge_count, kernel))
 
 
 def sample_field(

@@ -282,15 +282,22 @@ def _k_disc(config, resolution: int) -> int:
     return k
 
 
-def _peak_rss_mb() -> float | None:
-    """Largest resident set of this process and of its reaped children, in MiB
-    (``ru_maxrss`` is KiB on Linux and bytes on macOS); None without ``resource``."""
+def _peak_rss() -> dict:
+    """Peak resident set in MiB of this process and its reaped children, and
+    where this process's own was read: Linux ``VmHWM`` starts afresh at exec,
+    ``ru_maxrss`` (bytes on macOS) keeps the peak of the process that exec'd."""
     try:
         import resource
     except ImportError:  # Windows
-        return None
-    peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 2)
+        return {"peak_rss_mb": None, "peak_rss_source": None}
+    try:
+        with open("/proc/self/status", "rb") as fh:  # Linux
+            own, source = int(fh.read().split(b"VmHWM:")[1].split()[0]), "VmHWM"
+    except (OSError, IndexError):
+        own, source = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "ru_maxrss"
+    peak = max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    unit = 2**20 if sys.platform == "darwin" else 2**10
+    return {"peak_rss_mb": round(peak / unit, 2), "peak_rss_source": source}
 
 
 def _run_sample(config, workers):
@@ -348,7 +355,7 @@ def _run_nu(config, workers):
     return [
         "d", "n", "k_slab", "replications", "seed", "resolution",
         "mean_num", "mean_den", "mean", "stderr",
-    ], rows, {"value_solver": value_solver(d), "sampler_blocks": samplers, "peak_rss_mb": _peak_rss_mb()}
+    ], rows, {"value_solver": value_solver(d), "sampler_blocks": samplers, **_peak_rss()}
 
 
 def _run_psi(config, workers):
@@ -372,7 +379,7 @@ def _run_psi(config, workers):
         "lam", "lam_exact", "d", "n", "h", "k_disc", "samples", "hits",
         "hit_rate", "psi_hat", "psi_ci_lo", "psi_ci_hi", "infinite_flag", "seed",
     ], rows, {"value_solver": value_solver(d), "solver_counts": tally, "sampler_blocks": samplers,
-              "peak_rss_mb": _peak_rss_mb()}
+              **_peak_rss()}
 
 
 def _run_oracle(config, workers):
@@ -398,7 +405,7 @@ def _run_oracle(config, workers):
 def _run_verify(config, workers):
     results = run_all(config["seed"], config.get("scale", 1.0))
     rows = [[r.name, r.trials, r.violations, "pass" if r.passed else "FAIL"] for r in results]
-    return ["property", "trials", "violations", "status"], rows, {"peak_rss_mb": _peak_rss_mb()}
+    return ["property", "trials", "violations", "status"], rows, _peak_rss()
 
 
 def _run_report(config, workers):

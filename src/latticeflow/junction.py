@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -60,20 +59,6 @@ class DiscreteStream(Stream):
             raise ValueError(f"stream is unbalanced at {unbalanced[0][0]}")
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Truncated projections at the bottom and below-top layers of a box."""
-
-    pi1: tuple[int, ...]
-    pi2: tuple[int, ...]
-    lam: Fraction
-    n: int
-    level: int
-
-    def reflected(self) -> "BoundaryCondition":
-        return BoundaryCondition(self.pi2, self.pi1, self.lam, self.n, self.level)
-
-
 def _vertical_layer(box: BoxSpec, layer: int) -> np.ndarray:
     """Ids of the vertical edges through [layer, layer + 1], in base-point order."""
     tail, head = edge_ends(box.dims, box.height)
@@ -101,45 +86,6 @@ def discrete_max_flow_stream(box: BoxSpec, field: CapacityField, level: int) -> 
     paths = decompose_paths(box, max_flow(box, coarse).stream, level)
     r = field.resolution
     return DiscreteStream(box, r, _flow_from_paths(box, paths, r // level), level)
-
-
-def _cap_units(lam: Fraction, n: int, d: int, resolution: int) -> int:
-    return (math.floor(lam * n ** (d - 1)) + 1) * resolution
-
-
-def truncated_projection(ds: DiscreteStream, layer: int, lam, n: int) -> tuple[int, ...]:
-    """Per-column vertical amounts through [layer, layer+1], capped.
-
-    The cap is floor(lam * n^(d-1)) + 1 in whole units; entries follow the
-    lexicographic base-point order.
-    """
-    lamf = as_fraction(lam)
-    box = ds.box
-    if not box.z_lo <= layer < box.z_hi:
-        raise ValueError("layer outside the box")
-    cap = _cap_units(lamf, n, box.d, ds.resolution)
-    return tuple(min(abs(x), cap) for x in ds.flow[_vertical_layer(box, layer)].tolist())
-
-
-def boundary_condition(ds: DiscreteStream, lam, n: int) -> BoundaryCondition:
-    """Projections at the bottom layer and the layer below the top face."""
-    lamf = as_fraction(lam)
-    box = ds.box
-    return BoundaryCondition(
-        truncated_projection(ds, box.z_lo, lamf, n),
-        truncated_projection(ds, box.z_hi - 1, lamf, n),
-        lamf,
-        n,
-        ds.level,
-    )
-
-
-def boundary_count_bound(lam, n: int, level: int, d: int) -> int:
-    """Exact counting bound on the distinct boundary conditions at level k."""
-    lamf = as_fraction(lam)
-    if n < 1 or level < 1 or d < 2 or lamf < 0:
-        raise ValueError("parameters must be positive (d >= 2, lam >= 0)")
-    return (level * (math.floor(lamf * n ** (d - 1)) + 1) + 1) ** (2 * n ** (d - 1))
 
 
 def translate_stream(ds: DiscreteStream, dz: int) -> DiscreteStream:
@@ -242,15 +188,16 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
         raise JunctionHypothesisError("flow_shortfall", which="lower stream")
     if flow_value(s2) < need_units:
         raise JunctionHypothesisError("flow_shortfall", which="upper stream")
-    p1 = truncated_projection(s1, b1.z_hi - 1, lamf, n)
-    p2 = truncated_projection(s2, b2.z_lo, lamf, n)
-    for base, (x, y) in zip(b1.base_points(), zip(p1, p2)):
-        if x != y:
+    cap = (math.floor(lamf * n ** (d - 1)) + 1) * r  # projections are truncated at cap
+    below = s1.flow[_vertical_layer(b1, b1.z_hi - 1)].tolist()
+    above = s2.flow[_vertical_layer(b2, b2.z_lo)].tolist()
+    for base, x, y in zip(b1.base_points(), below, above):
+        if min(abs(x), cap) != min(abs(y), cap):
             raise JunctionHypothesisError("projection_mismatch", base_point=base)
 
     union = BoxSpec(b1.dims, b1.height + b2.height, b1.offset)
     interface = b1.z_hi
-    heavy = [x > need_units for x in s1.flow[_vertical_layer(b1, interface - 1)].tolist()]
+    heavy = [x > need_units for x in below]
 
     if not any(heavy):
         flow = np.zeros(union.edge_count, dtype=np.int64)

@@ -4,6 +4,9 @@ Each check runs a fixed number of deterministic trials and counts
 violations; a healthy build reports zero everywhere. The checks rely on
 independent re-computation (graph traversals, exhaustive search on tiny
 instances, exact identities) rather than on the solver's own bookkeeping.
+Trial t of a check takes its box shape from ``_shape_rng`` and its field
+from sub-seed ``derive_seed(seed, t)``, both drawn on the array Philox
+kernel, so no check loads numpy.random.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ from .capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
     DistributionSpec,
+    _IntegerStream,
+    caps_from_uniforms,
     derive_seed,
+    derive_seeds,
     discretize,
-    edge_uniforms,
-    sample_field,
+    edge_uniform_rows,
 )
 from .cuts import check_subadditivity
-from .estimators import estimate_psi, exact_tail_probability
+from .estimators import _BLOCK_ELEMENTS, estimate_psi, exact_tail_probability
 from .flow import flow_value, max_flow, menger_count, min_cut, min_cut_value, validate_stream
 from .junction import (
     discrete_max_flow_stream,
@@ -55,10 +60,24 @@ _MIXED_DISTRIBUTIONS = (
     DistributionSpec.uniform(0, 1),
     DistributionSpec.exponential(1.0),
 )
+_OPEN_OR_SHUT = DistributionSpec.finite_discrete([("1", "0.5"), ("0", "0.5")])  # open when u < 1/2
 
 
-def _shape_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+def _shape_rng(seed: int) -> _IntegerStream:
+    return _IntegerStream(seed)
+
+
+def _trial_fields(seed: int, boxes: list[BoxSpec], laws=_MIXED_DISTRIBUTIONS):
+    """``sample_field(boxes[t], laws[t % len(laws)], DEFAULT_RESOLUTION, derive_seed(seed, t))``
+    per trial t, from rows as wide as the largest box, about _BLOCK_ELEMENTS
+    draws a block: draw i depends only on (seed, i), so a prefix will do."""
+    width = max((box.edge_count for box in boxes), default=1)
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    for lo in range(0, len(boxes), rows):
+        block = edge_uniform_rows(derive_seeds(seed, range(lo, min(lo + rows, len(boxes)))), width)
+        for t, (box, u) in enumerate(zip(boxes[lo : lo + rows], block), lo):
+            caps = caps_from_uniforms(laws[t % len(laws)], DEFAULT_RESOLUTION, u[: box.edge_count])
+            yield CapacityField(box, DEFAULT_RESOLUTION, caps)
 
 
 def _adjacency(box: BoxSpec, ids: list[int]) -> dict[int, list[tuple[int, int]]]:
@@ -127,15 +146,14 @@ def max_disjoint_open_paths(box: BoxSpec, open_ids: frozenset[int]) -> int:
 def check_duality(seed: int, trials: int = 50) -> PropertyResult:
     """Flow value equals recomputed cut weight and the cut disconnects."""
     rng = _shape_rng(seed)
-    bad = 0
-    for t in range(trials):
-        d = int(rng.integers(2, 4))
+    boxes = []
+    for _ in range(trials):
+        d = rng.integers(2, 4)
         side_cap = 12 if d == 2 else 5
-        dims = tuple(int(rng.integers(1, side_cap + 1)) for _ in range(d - 1))
-        height = int(rng.integers(1, 17 if d == 2 else 9))
-        box = BoxSpec(dims, height)
-        dist = _MIXED_DISTRIBUTIONS[t % len(_MIXED_DISTRIBUTIONS)]
-        field = sample_field(box, dist, DEFAULT_RESOLUTION, derive_seed(seed, t))
+        dims = tuple(rng.integers(1, side_cap + 1) for _ in range(d - 1))
+        boxes.append(BoxSpec(dims, rng.integers(1, 17 if d == 2 else 9)))
+    bad = 0
+    for box, field in zip(boxes, _trial_fields(seed, boxes)):
         res = max_flow(box, field)
         caps = field.caps.tolist()
         weight = sum(caps[i] for i in res.min_cut.edge_ids)
@@ -152,32 +170,21 @@ def check_duality(seed: int, trials: int = 50) -> PropertyResult:
 def check_menger(seed: int, trials: int = 40) -> PropertyResult:
     """Flow count on 0/1 fields equals the exhaustive disjoint-path packing."""
     box = BoxSpec((3,), 2)  # 10 edges
-    r = DEFAULT_RESOLUTION
     bad = 0
-    for t in range(trials):
-        u = edge_uniforms(derive_seed(seed, t), box.edge_count)
-        caps = np.where(u < 0.5, r, 0).astype(np.int64)
-        field = CapacityField(box, r, caps)
-        open_ids = frozenset(i for i, c in enumerate(caps.tolist()) if c)
-        if menger_count(box, field) != max_disjoint_open_paths(box, open_ids):
-            bad += 1
+    for field in _trial_fields(seed, [box] * trials, (_OPEN_OR_SHUT,)):
+        open_ids = frozenset(np.flatnonzero(field.caps).tolist())
+        bad += menger_count(box, field) != max_disjoint_open_paths(box, open_ids)
     return PropertyResult("menger", trials, bad)
 
 
 def check_tau_subadditivity(seed: int, trials: int = 100) -> PropertyResult:
     rng = _shape_rng(seed)
+    shapes = [(rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 5)) for _ in range(trials)]
+    boxes = [RectSpec((0,), (a + b,)).slab_box(k) for a, b, k in shapes]
     bad = 0
-    for t in range(trials):
-        a = int(rng.integers(1, 7))
-        b = int(rng.integers(1, 7))
-        k = int(rng.integers(1, 5))
-        left = RectSpec((0,), (a,))
-        right = RectSpec((a,), (a + b,))
-        union = RectSpec((0,), (a + b,))
-        dist = _MIXED_DISTRIBUTIONS[t % len(_MIXED_DISTRIBUTIONS)]
-        field = sample_field(union.slab_box(k), dist, DEFAULT_RESOLUTION, derive_seed(seed, t))
+    for (a, b, k), field in zip(shapes, _trial_fields(seed, boxes)):
         try:
-            report = check_subadditivity(left, right, k, field)
+            report = check_subadditivity(RectSpec((0,), (a,)), RectSpec((a,), (a + b,)), k, field)
         except RuntimeError:
             bad += 1
             continue
@@ -189,14 +196,10 @@ def check_sandwich(seed: int, trials: int = 50) -> PropertyResult:
     """Coarse flows never exceed finer ones, and the gap bound holds."""
     rng = _shape_rng(seed)
     r = DEFAULT_RESOLUTION
+    shapes = [(BoxSpec((rng.integers(1, 7),), rng.integers(1, 9)), 2 ** rng.integers(1, 5))
+              for _ in range(trials)]  # box and coarse level of each trial
     bad = 0
-    for t in range(trials):
-        dims = (int(rng.integers(1, 7)),)
-        height = int(rng.integers(1, 9))
-        box = BoxSpec(dims, height)
-        dist = _MIXED_DISTRIBUTIONS[t % len(_MIXED_DISTRIBUTIONS)]
-        field = sample_field(box, dist, r, derive_seed(seed, t))
-        k = 2 ** int(rng.integers(1, 5))
+    for (box, k), field in zip(shapes, _trial_fields(seed, [box for box, _ in shapes])):
         fine = min_cut_value(box, field)
         mid = min_cut_value(box, discretize(field, 2 * k))
         coarse = min_cut(box, discretize(field, k))
@@ -210,20 +213,16 @@ def check_junction(seed: int, trials: int = 20) -> PropertyResult:
     """Glued streams are valid, carry the promised flow and never beat max-flow."""
     rng = _shape_rng(seed)
     r = DEFAULT_RESOLUTION
-    bad = 0
+    shapes = []  # box, level and the fat column of an odd trial
     for t in range(trials):
-        n = int(rng.integers(2, 5))
-        height = int(rng.integers(2, 5))
-        level = 2 ** int(rng.integers(0, 3))
-        box = BoxSpec((n,), height)
-        if t % 2 == 0:
-            dist = DistributionSpec.finite_discrete(
-                [("0", "0.25"), ("0.5", "0.25"), ("1", "0.5")]
-            )
-            f1 = sample_field(box, dist, r, derive_seed(seed, t))
-        else:
-            # fat column: one column wide open, everything else shut
-            col = int(rng.integers(1, n + 1))
+        box = BoxSpec((rng.integers(2, 5),), rng.integers(2, 5))
+        level = 2 ** rng.integers(0, 3)
+        shapes.append((box, level, rng.integers(1, box.dims[0] + 1) if t % 2 else 0))
+    bad = 0
+    fields = _trial_fields(seed, [box for box, *_ in shapes], _MIXED_DISTRIBUTIONS[1:2])
+    for (box, level, col), f1 in zip(shapes, fields):
+        n, height = box.dims[0], box.height
+        if col:  # fat column: one column wide open, everything else shut
             tail, head = edge_ends(box.dims, height)
             fat = (head == tail + 1) & (tail // (height + 1) == col - 1)
             f1 = CapacityField(box, r, np.where(fat, 2 * r, 0))

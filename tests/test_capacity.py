@@ -14,18 +14,17 @@ from latticeflow.capacity import (
     CapacityField,
     CapacityOverflowError,
     DistributionSpec,
-    _philox_rows,
     as_fraction,
     derive_seed,
     derive_seeds,
     discretize,
     edge_uniform_rows,
-    edge_uniforms,
     sample_block,
     sample_field,
     sampler,
     unit_count,
 )
+from reference_capacity import edge_uniforms
 from reference_lattice import edge_ids
 
 from latticeflow.lattice import BoxSpec, edges_in_box
@@ -190,7 +189,7 @@ def test_rekeyed_generator_equals_a_fresh_one(count):
 def test_philox_kernel_equals_numpy(seeds, count):
     """The array Philox reproduces numpy's generator row by row, counts that
     are not multiples of the four-word counter block included."""
-    rows = _philox_rows(np.array(seeds, dtype=np.uint64), count)
+    rows = edge_uniform_rows(np.array(seeds, dtype=np.uint64), count, "vectorised")
     assert rows.shape == (len(seeds), count)
     for row, s in zip(rows, seeds):
         assert np.array_equal(row, _fresh_philox(s, count))
@@ -200,8 +199,77 @@ def test_philox_kernel_equals_numpy(seeds, count):
 def test_philox_kernel_equals_numpy_on_wide_blocks(rows, count):
     """Few rows of many draws, the blocks of a box that is not tiny."""
     seeds = [*SEED_EXTREMES, *derive_seeds(7, range(rows)).tolist()][:rows]
-    for row, s in zip(_philox_rows(np.array(seeds, dtype=np.uint64), count), seeds):
+    for row, s in zip(edge_uniform_rows(np.array(seeds, dtype=np.uint64), count, "vectorised"), seeds):
         assert np.array_equal(row, _fresh_philox(s, count))
+
+
+@hypothesis.seed(21)
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.sampled_from(SEED_EXTREMES) | st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+    count=st.integers(0, 70),
+)
+@example(seeds=SEED_EXTREMES, count=0)
+@example(seeds=SEED_EXTREMES, count=9)
+def test_philox_words_equal_random_raw(seeds, count):
+    """The raw-word kernel is numpy's ``Philox.random_raw`` row by row."""
+    words = capacity._philox_words(np.array(seeds, dtype=np.uint64), count)
+    assert words.shape == (len(seeds), count) and words.dtype == np.uint64
+    for row, s in zip(words, seeds):
+        assert row.tolist() == np.random.Philox(key=s).random_raw(count).tolist()
+
+
+def _numpy_integers(seed, ranges):
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    return [int(gen.integers(lo, hi)) for lo, hi in ranges]
+
+
+# Width 1 takes no draw. 2**31 + 1 and 3 * 2**30 reject about half and a
+# quarter of their draws; 2**31 and 2**32 reject none, and 2**31 keeps the
+# even draws, whose product's low half equals the rejection threshold 0.
+# Draws are compared one by one and 2**32 comes last, so a stream that
+# rejected at the threshold fails on a width of 2**31 before it loops
+# forever on 2**32, where every product's low half is 0.
+STREAM_WIDTHS = [1, 2, 3, 6, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+STREAM_RANGES = (
+    [(0, 2**31)] * 12 + [(7, 8), (2, 4)] + [(-5, 2**31 - 4)] * 8 + [(1, 2), (0, 6)] * 100
+    + [(lo, lo + w) for lo, w in zip(range(-40, 40, 3), STREAM_WIDTHS * 3)] + [(0, 2**32), (9, 2**32 + 9)]
+)
+
+
+def _assert_stream_equals_numpy(seed, ranges):
+    stream = capacity._IntegerStream(seed)
+    for i, ((lo, hi), expected) in enumerate(zip(ranges, _numpy_integers(seed, ranges))):
+        assert stream.integers(lo, hi) == expected, f"call {i}: integers({lo}, {hi})"
+
+
+@pytest.mark.parametrize("seed", SEED_EXTREMES)
+def test_integer_stream_equals_numpy_integers(seed):
+    """Interleaved ranges, past the first and second refills of the words."""
+    _assert_stream_equals_numpy(seed, STREAM_RANGES)
+
+
+@hypothesis.seed(21)
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.sampled_from(SEED_EXTREMES) | st.integers(0, 2**64 - 1),
+    ranges=st.lists(
+        st.tuples(st.integers(-(2**40), 2**40), st.sampled_from(STREAM_WIDTHS) | st.integers(1, 2**32 - 1)),
+        min_size=1,
+        max_size=150,
+    ),
+)
+def test_integer_stream_equals_numpy_integers_on_random_ranges(seed, ranges):
+    _assert_stream_equals_numpy(seed, [(lo, lo + width) for lo, width in ranges])
+
+
+def test_integer_stream_refuses_ranges_it_cannot_draw():
+    stream = capacity._IntegerStream(3)
+    for lo, hi in [(0, 2**32 + 1), (4, 4), (5, 4)]:
+        with pytest.raises(ValueError):
+            stream.integers(lo, hi)
+    with pytest.raises(ValueError):
+        capacity._IntegerStream(2**64)
 
 
 def test_edge_uniform_rows_agree_across_the_sampler_gate():

@@ -549,7 +549,7 @@ def test_peak_rss_counts_reaped_children():
         "estimators._fork_map([lambda: float(np.ones(12 * 2**20).sum()), lambda: 0.0], 2)\n"
         "usage = [resource.getrusage(who).ru_maxrss / 1024\n"
         "         for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]\n"
-        "print(*usage, cli._peak_rss_mb())"
+        "print(*usage, cli._peak_rss()['peak_rss_mb'])"
     )
     own, children, peak = map(float, _python(code).split())
     assert own < children and 96 < children
@@ -753,6 +753,51 @@ def test_short_runs_never_load_numpy_random(tmp_path, monkeypatch, command, work
     assert run([*argv, "--out", tmp_path / "b.csv"]) == EXIT_OK
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert json.loads((tmp_path / "b.csv.meta.json").read_text())["sampler_blocks"]["vectorised"] == 0
+
+
+def test_verify_never_loads_numpy_random(tmp_path, monkeypatch):
+    """verify draws its box shapes and trial fields on the array Philox
+    kernel, so a fresh process runs every check without numpy.random."""
+    cfg = write_config(tmp_path, "v.json", {"seed": 1, "scale": 0.25})
+    log = tmp_path / "numpy_random.log"
+    monkeypatch.setenv("NUMPY_RANDOM_LOG", str(log))
+    code = _WATCH_NUMPY_RANDOM + (
+        "import json, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from latticeflow.cli import main\n"
+        "print(json.dumps([eager, main(json.loads(sys.argv[1]))]))"
+    )
+    argv = ["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")]
+    eager, exit_code = json.loads(_python(code, json.dumps(argv)))
+    assert exit_code == EXIT_OK
+    assert eager or not log.exists()  # numpy < 2 loads numpy.random with numpy
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status")
+def test_peak_rss_leaves_out_the_launching_process(tmp_path):
+    """Linux keeps ru_maxrss across exec, so a CLI started by a process
+    holding 200 MiB reads at least that as its own; the sidecar's VmHWM
+    starts afresh at exec and records the CLI's own tens of MiB."""
+    cfg = write_config(tmp_path, "v.json", {"seed": 1, "scale": 0.0001})
+    out = tmp_path / "v.csv"
+    cli = (
+        "import resource, sys\n"
+        "from latticeflow.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+    )
+    launcher = (
+        "import subprocess, sys\n"
+        "held = b'x' * (200 * 2**20)\n"
+        "cmd = [sys.executable, '-c', sys.argv[1], *sys.argv[2:]]\n"
+        "print(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout, len(held))"
+    )
+    code, maxrss, held = _python(launcher, cli, "verify", "--config", cfg, "--out", str(out)).split()
+    meta = json.loads((tmp_path / "v.csv.meta.json").read_text())
+    assert int(code) == EXIT_OK and int(held) == 200 * 2**20
+    assert float(maxrss) > 200
+    assert meta["peak_rss_source"] == "VmHWM"
+    assert 1 < meta["peak_rss_mb"] < 100
 
 
 def test_two_slab_nu_forks_one_pool(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_junction import boundary_condition, boundary_count_bound, truncated_projection
 from reference_lattice import edge_ids, sorted_edges_in_box
 
 from latticeflow.capacity import (
@@ -20,11 +21,8 @@ from latticeflow.capacity import (
 )
 from latticeflow.flow import Stream, flow_value, max_flow, validate_stream
 from latticeflow.junction import (
-    BoundaryCondition,
     DiscreteStream,
     JunctionHypothesisError,
-    boundary_condition,
-    boundary_count_bound,
     discrete_max_flow_stream,
     flip_vertical,
     flip_vertical_field,
@@ -32,7 +30,6 @@ from latticeflow.junction import (
     merge_stacked_fields,
     translate_field,
     translate_stream,
-    truncated_projection,
 )
 from latticeflow.lattice import VERTICAL, BoxSpec, Edge, classify_edge, edges_in_box
 

@@ -9,16 +9,14 @@ Sampling is counter based: the draw for edge id i is a pure function of
 (seed, i), so fields are reproducible across platforms, independent of
 evaluation order, and replica workers can sample concurrently. The draws
 are numpy's ``Philox(key=seed)`` stream, a pure function of key and counter
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). So
-``sampler`` picks once per run between numpy's generator, re-keyed per row,
-and an array Philox over all rows at once, which never loads numpy.random
-and also feeds ``_IntegerStream``, numpy's bounded integers.
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+computed by an array Philox over all rows of a block at once. It never loads
+numpy.random and also feeds ``_IntegerStream``, numpy's bounded integers.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -271,38 +269,6 @@ _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 
 
-_KERNEL_MS = {  # ms that r rows of c draws take on each kernel; see ``sampler``
-    "vectorised": lambda r, c: 0.28 + 60e-6 * r * c,
-    "numpy": lambda r, c: r * (3.3e-3 + 11e-6 * c),
-}
-_IMPORT_MS = 14.0  # numpy.random, in a fresh interpreter
-
-
-def sampler(blocks, processes: int = 1) -> list[str]:
-    """The kernel ``edge_uniform_rows`` runs on each (rows, count) block of a run.
-
-    Unless numpy.random is loaded (numpy < 2 loads it with numpy), a run takes
-    the array kernel while its summed extra time stays below the import (14 ms,
-    +5.4 MB RSS) in each of ``processes`` that would load it only for numpy's
-    kernel (none for a law that ``loads_numpy_random``); else each block takes
-    its cheaper kernel. Median ms of 25 calls (2-core x86, python 3.11, numpy 2.4):
-
-        kernel      per call  per row  per draw   1x6   1x32640  4x2016  256x6
-        vectorised  0.28      -        60e-6      0.23  2.03     0.65    0.42
-        numpy       -         3.3e-3   11e-6      0.01  0.36     0.11    0.84
-    """
-    cheaper = [min(_KERNEL_MS, key=lambda k: _KERNEL_MS[k](*b)) for b in blocks]
-    extra = sum(_KERNEL_MS["vectorised"](*b) - _KERNEL_MS[k](*b) for b, k in zip(blocks, cheaper))
-    loaded = "numpy.random" in sys.modules
-    return cheaper if loaded or extra >= _IMPORT_MS * processes else ["vectorised"] * len(blocks)
-
-
-def loads_numpy_random(dist: DistributionSpec) -> bool:
-    """Whether ``sample_block`` loads numpy.random for ``dist`` on any kernel:
-    half_normal's ``scipy.special`` import does."""
-    return dist.kind == HALF_NORMAL
-
-
 def _philox_words(seeds: np.ndarray, count: int) -> np.ndarray:
     """Row i is ``Philox(key=seeds[i]).random_raw(count)``, bit for bit.
 
@@ -355,28 +321,13 @@ class _IntegerStream:
         return lo
 
 
-@lru_cache(maxsize=1)  # one re-keyable generator per process, made at its first numpy draw
-def _numpy_philox():
-    bitgen = np.random.Philox(key=0)
-    return bitgen, np.random.Generator(bitgen), bitgen.state
-
-
-def edge_uniform_rows(seeds, count: int, kernel: str | None = None) -> np.ndarray:
-    """Row i holds [0, 1) draws, draw j a function of (seeds[i], j) alone, by
-    ``kernel`` (by default ``sampler``'s pick for this block alone). The numpy
-    one re-keys a generator to the state of a fresh ``Philox(key=seed)``."""
+def edge_uniform_rows(seeds, count: int) -> np.ndarray:
+    """Row i holds [0, 1) draws, draw j a function of (seeds[i], j) alone:
+    those of a fresh ``Generator(Philox(key=seeds[i])).random(count)``."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):  # any uint64 is a seed
         seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
         seeds = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
-    if (kernel or sampler([(len(seeds), count)])[0]) == "vectorised":
-        return (_philox_words(seeds, count) >> 11) * 2.0**-53  # numpy's next_double
-    bitgen, gen, state = _numpy_philox()
-    u = np.empty((len(seeds), count))
-    for row, seed in zip(u, seeds.tolist()):
-        state["state"]["key"][0] = seed
-        bitgen.state = state
-        gen.random(out=row)
-    return u
+    return (_philox_words(seeds, count) >> 11) * 2.0**-53  # numpy's next_double
 
 
 def _unit_table(dist: DistributionSpec, resolution: int) -> np.ndarray:
@@ -416,15 +367,13 @@ def caps_from_uniforms(dist: DistributionSpec, resolution: int, u: np.ndarray) -
     return x.astype(np.int64)
 
 
-def sample_block(
-    box: BoxSpec, dist: DistributionSpec, resolution: int, seeds, kernel: str | None = None
-) -> np.ndarray:
+def sample_block(box: BoxSpec, dist: DistributionSpec, resolution: int, seeds) -> np.ndarray:
     """Capacity rows of shape (len(seeds), edges): row i is the field of seeds[i].
 
     Each row equals ``sample_field(box, dist, resolution, seeds[i]).caps``;
-    the law is mapped over the whole block at once, drawn by ``kernel``.
+    the law is mapped over the whole block at once.
     """
-    return caps_from_uniforms(dist, resolution, edge_uniform_rows(seeds, box.edge_count, kernel))
+    return caps_from_uniforms(dist, resolution, edge_uniform_rows(seeds, box.edge_count))
 
 
 def sample_field(

@@ -343,10 +343,8 @@ def _run_nu(config, workers):
     dist, d, r = _law(config)
     # a slab of half-height k is 2k high; every slab is checked before any run
     slabs = [(n, _box(d, n, k_slab=config["k_slab"]).height // 2) for n in config["n_list"]]
-    samplers = Counter(vectorised=0, numpy=0)  # sampling blocks by capacity.sampler kernel
     estimates = estimate_nu_sweep(
-        dist, slabs, config["replications"], config["seed"],
-        d=d, resolution=r, workers=workers, samplers=samplers,
+        dist, slabs, config["replications"], config["seed"], d=d, resolution=r, workers=workers,
     )
     rows = [[
         d, e.n, e.k_slab, e.replications, e.seed, r,
@@ -355,7 +353,7 @@ def _run_nu(config, workers):
     return [
         "d", "n", "k_slab", "replications", "seed", "resolution",
         "mean_num", "mean_den", "mean", "stderr",
-    ], rows, {"value_solver": value_solver(d), "sampler_blocks": samplers, **_peak_rss()}
+    ], rows, {"value_solver": value_solver(d), **_peak_rss()}
 
 
 def _run_psi(config, workers):
@@ -364,10 +362,10 @@ def _run_psi(config, workers):
     h = _box(d, n, config["height"]).height
     k_disc = _k_disc(config, r)
     lams = [_lam(l) for l in config["lambdas"]]
-    tally, samplers = Counter(), Counter(vectorised=0, numpy=0)
+    tally = Counter()
     estimates = estimate_psi_sweep(
         dist, lams, n, h, k_disc, config["samples"], config["seed"],
-        d=d, resolution=r, workers=workers, tally=tally, samplers=samplers,
+        d=d, resolution=r, workers=workers, tally=tally,
     )
     rows = [[
         _dec(e.lam), str(e.lam), d, n, h, k_disc, e.samples, e.hits,
@@ -378,8 +376,7 @@ def _run_psi(config, workers):
     return [
         "lam", "lam_exact", "d", "n", "h", "k_disc", "samples", "hits",
         "hit_rate", "psi_hat", "psi_ci_lo", "psi_ci_hi", "infinite_flag", "seed",
-    ], rows, {"value_solver": value_solver(d), "solver_counts": tally, "sampler_blocks": samplers,
-              **_peak_rss()}
+    ], rows, {"value_solver": value_solver(d), "solver_counts": tally, **_peak_rss()}
 
 
 def _run_oracle(config, workers):

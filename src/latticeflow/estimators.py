@@ -27,9 +27,7 @@ from .capacity import (
     _unit_table,
     as_fraction,
     derive_seeds,
-    loads_numpy_random,
     sample_block,
-    sampler,
 )
 from .cuts import uncuttable_edge_ids
 from .flow import _reached, _values
@@ -45,25 +43,18 @@ class EnumerationBudgetError(RuntimeError):
 _BLOCK_ELEMENTS = 2**14
 
 
-def _map_indices(jobs, workers: int, samplers: Counter | None = None) -> list[list]:
-    """Per (fn, count, width, dist) job, ``fn(block, kernel)`` over consecutive
-    index blocks of range(count), in block order. A block holds at most
+def _map_indices(jobs, workers: int) -> list[list]:
+    """Per (fn, count, width) job, ``fn(block)`` over consecutive index
+    blocks of range(count), in block order. A block holds at most
     _BLOCK_ELEMENTS // width replicas, and a job has at least workers * 8
     blocks when count allows, so the workers stay balanced. All jobs share
-    one fork-join map (``_fork_map``); ``capacity.sampler`` picks the kernels
-    of all blocks at once, before the fork, and ``samplers`` counts them. A
-    law whose sampling loads numpy.random anyway (``half_normal``) leaves no
-    import for the array kernel to save."""
-    blocks = []  # (job, fn, replica range, width) of each block
-    for job, (fn, count, width, _) in enumerate(jobs):
+    one fork-join map (``_fork_map``)."""
+    blocks = []  # (job, fn, replica range) of each block
+    for job, (fn, count, width) in enumerate(jobs):
         rows = max(1, min(_BLOCK_ELEMENTS // width, -(-count // (workers * 8))))
-        blocks += [(job, fn, range(lo, min(lo + rows, count)), width) for lo in range(0, count, rows)]
+        blocks += [(job, fn, range(lo, min(lo + rows, count))) for lo in range(0, count, rows)]
     processes = min(workers, len(blocks))
-    loaded = any(loads_numpy_random(dist) for *_, dist in jobs)
-    kernels = sampler([(len(block), width) for _, _, block, width in blocks], 0 if loaded else processes)
-    if samplers is not None:
-        samplers.update(kernels)
-    calls = [partial(fn, block, kernel) for (_, fn, block, _), kernel in zip(blocks, kernels)]
+    calls = [partial(fn, block) for _, fn, block in blocks]
     if processes <= 1 or not hasattr(os, "fork"):
         parts = [call() for call in calls]
     else:
@@ -129,11 +120,11 @@ def _child(calls, w: int):
         os._exit(code)
 
 
-def _block_solve(solve, box, arg, k_disc, dist, resolution, seed, block: range, kernel=None):
+def _block_solve(solve, box, arg, k_disc, dist, resolution, seed, block: range):
     """``solve(box, rows, arg)`` on the capacity rows of replicas ``block`` on
-    ``box``, drawn by ``kernel``, every capacity floored to the 1/k_disc grid."""
+    ``box``, every capacity floored to the 1/k_disc grid."""
     step = _level_step(k_disc, resolution)
-    rows = sample_block(box, dist, resolution, derive_seeds(seed, block), kernel)
+    rows = sample_block(box, dist, resolution, derive_seeds(seed, block))
     rows -= rows % step
     return solve(box, rows, arg)
 
@@ -172,7 +163,7 @@ class NuEstimate:
 
 def estimate_nu_sweep(
     dist: DistributionSpec, slabs, replications: int, seed: int, *, d: int = 2,
-    resolution: int = DEFAULT_RESOLUTION, workers: int = 1, samplers: Counter | None = None,
+    resolution: int = DEFAULT_RESOLUTION, workers: int = 1,
 ) -> list[NuEstimate]:
     """``estimate_nu`` for every (n, k_slab) of ``slabs``, with the replicas
     of all slabs mapped over one fork-join map."""
@@ -183,9 +174,9 @@ def estimate_nu_sweep(
         base = RectSpec.cube(n, d)
         slab, never_cut = base.slab_box(k_slab), uncuttable_edge_ids(base, k_slab)
         fn = partial(_block_solve, _values, slab, never_cut, resolution, dist, resolution, seed)
-        jobs.append((fn, replications, slab.edge_count, dist))
+        jobs.append((fn, replications, slab.edge_count))
     out = []
-    for (n, k_slab), parts in zip(slabs, _map_indices(jobs, workers, samplers)):
+    for (n, k_slab), parts in zip(slabs, _map_indices(jobs, workers)):
         taus = [t for part in parts for t in part]
         denom = n ** (d - 1) * resolution
         mean = Fraction(sum(taus), replications * denom)
@@ -244,15 +235,13 @@ def estimate_psi_sweep(
     z: float = 1.96,
     workers: int = 1,
     tally: Counter | None = None,
-    samplers: Counter | None = None,
 ) -> list[PsiEstimate]:
     """Tail estimates over a lam grid from one shared set of replicas.
 
     Identical to calling ``estimate_psi`` per lam with the same seed: the
     replica fields depend only on (seed, index), so sharing them is free and
     keeps the whole curve consistent replica by replica. ``tally``, if given,
-    counts the replicas ``flow._reached`` decided by its bounds and solved;
-    ``samplers`` counts the sampling blocks by kernel.
+    counts the replicas ``flow._reached`` decided by its bounds and solved.
     """
     if samples < 1 or h < 1:
         raise ValueError("samples and h must be >= 1")
@@ -264,7 +253,7 @@ def estimate_psi_sweep(
     box = BoxSpec((n,) * (d - 1), h)
     grid = sorted(set(thresholds))
     fn = partial(_block_solve, _reached, box, grid, k_disc, dist, resolution, seed)
-    reached, solved = zip(*_map_indices([(fn, samples, box.edge_count, dist)], workers, samplers)[0])
+    reached, solved = zip(*_map_indices([(fn, samples, box.edge_count)], workers)[0])
     if tally is not None:
         tally.update(decided_by_bounds=samples - sum(solved), solved=sum(solved))
     reached = np.concatenate(reached)

@@ -4,9 +4,9 @@ Each check runs a fixed number of deterministic trials and counts
 violations; a healthy build reports zero everywhere. The checks rely on
 independent re-computation (graph traversals, exhaustive search on tiny
 instances, exact identities) rather than on the solver's own bookkeeping.
-Trial t of a check takes its box shape from ``_shape_rng`` and its field
-from sub-seed ``derive_seed(seed, t)``, both drawn on the array Philox
-kernel, so no check loads numpy.random.
+Trial t of a check takes its box shape from an ``_IntegerStream`` of the
+seed and its field from sub-seed ``derive_seed(seed, t)``, both drawn on the
+array Philox kernel, so no check loads numpy.random.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ _MIXED_DISTRIBUTIONS = (
     DistributionSpec.exponential(1.0),
 )
 _OPEN_OR_SHUT = DistributionSpec.finite_discrete([("1", "0.5"), ("0", "0.5")])  # open when u < 1/2
-
-
-def _shape_rng(seed: int) -> _IntegerStream:
-    return _IntegerStream(seed)
 
 
 def _trial_fields(seed: int, boxes: list[BoxSpec], laws=_MIXED_DISTRIBUTIONS):
@@ -145,7 +141,7 @@ def max_disjoint_open_paths(box: BoxSpec, open_ids: frozenset[int]) -> int:
 
 def check_duality(seed: int, trials: int = 50) -> PropertyResult:
     """Flow value equals recomputed cut weight and the cut disconnects."""
-    rng = _shape_rng(seed)
+    rng = _IntegerStream(seed)
     boxes = []
     for _ in range(trials):
         d = rng.integers(2, 4)
@@ -178,7 +174,7 @@ def check_menger(seed: int, trials: int = 40) -> PropertyResult:
 
 
 def check_tau_subadditivity(seed: int, trials: int = 100) -> PropertyResult:
-    rng = _shape_rng(seed)
+    rng = _IntegerStream(seed)
     shapes = [(rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 5)) for _ in range(trials)]
     boxes = [RectSpec((0,), (a + b,)).slab_box(k) for a, b, k in shapes]
     bad = 0
@@ -194,7 +190,7 @@ def check_tau_subadditivity(seed: int, trials: int = 100) -> PropertyResult:
 
 def check_sandwich(seed: int, trials: int = 50) -> PropertyResult:
     """Coarse flows never exceed finer ones, and the gap bound holds."""
-    rng = _shape_rng(seed)
+    rng = _IntegerStream(seed)
     r = DEFAULT_RESOLUTION
     shapes = [(BoxSpec((rng.integers(1, 7),), rng.integers(1, 9)), 2 ** rng.integers(1, 5))
               for _ in range(trials)]  # box and coarse level of each trial
@@ -211,7 +207,7 @@ def check_sandwich(seed: int, trials: int = 50) -> PropertyResult:
 
 def check_junction(seed: int, trials: int = 20) -> PropertyResult:
     """Glued streams are valid, carry the promised flow and never beat max-flow."""
-    rng = _shape_rng(seed)
+    rng = _IntegerStream(seed)
     r = DEFAULT_RESOLUTION
     shapes = []  # box, level and the fat column of an odd trial
     for t in range(trials):

@@ -1,5 +1,4 @@
 import math
-import sys
 from fractions import Fraction
 
 import hypothesis
@@ -21,7 +20,6 @@ from latticeflow.capacity import (
     edge_uniform_rows,
     sample_block,
     sample_field,
-    sampler,
     unit_count,
 )
 from reference_capacity import edge_uniforms
@@ -125,8 +123,8 @@ def test_sampling_is_reproducible_and_seed_sensitive():
 
 def test_edge_uniforms_are_counter_based():
     # draw i depends only on (seed, i): prefixes agree whatever the length
-    long = edge_uniforms(99, 64)
-    short = edge_uniforms(99, 10)
+    long = edge_uniform_rows([99], 64)[0]
+    short = edge_uniform_rows([99], 10)[0]
     assert np.array_equal(long[:10], short)
 
 
@@ -165,16 +163,12 @@ SEED_EXTREMES = [0, 1, 2**63, 2**64 - 1]
 EDGE_SEEDS = [*SEED_EXTREMES, *derive_seeds(5, range(6)).tolist()]
 
 
-def _fresh_philox(seed, count):
-    return np.random.Generator(np.random.Philox(key=seed)).random(count)
-
-
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 10, 27, 480])
 def test_rekeyed_generator_equals_a_fresh_one(count):
     # Philox yields four words per counter step, so the counts straddle it
     rows = edge_uniform_rows(EDGE_SEEDS, count)
     for row, seed in zip(rows, EDGE_SEEDS):
-        assert np.array_equal(row, _fresh_philox(seed, count))
+        assert np.array_equal(row, edge_uniforms(seed, count))
 
 
 @hypothesis.seed(16)
@@ -189,18 +183,18 @@ def test_rekeyed_generator_equals_a_fresh_one(count):
 def test_philox_kernel_equals_numpy(seeds, count):
     """The array Philox reproduces numpy's generator row by row, counts that
     are not multiples of the four-word counter block included."""
-    rows = edge_uniform_rows(np.array(seeds, dtype=np.uint64), count, "vectorised")
+    rows = edge_uniform_rows(np.array(seeds, dtype=np.uint64), count)
     assert rows.shape == (len(seeds), count)
     for row, s in zip(rows, seeds):
-        assert np.array_equal(row, _fresh_philox(s, count))
+        assert np.array_equal(row, edge_uniforms(s, count))
 
 
 @pytest.mark.parametrize("rows, count", [(4, 2112), (11, 1408), (2, 6000), (4, 2017), (11, 1409), (2, 6001)])
 def test_philox_kernel_equals_numpy_on_wide_blocks(rows, count):
     """Few rows of many draws, the blocks of a box that is not tiny."""
     seeds = [*SEED_EXTREMES, *derive_seeds(7, range(rows)).tolist()][:rows]
-    for row, s in zip(edge_uniform_rows(np.array(seeds, dtype=np.uint64), count, "vectorised"), seeds):
-        assert np.array_equal(row, _fresh_philox(s, count))
+    for row, s in zip(edge_uniform_rows(np.array(seeds, dtype=np.uint64), count), seeds):
+        assert np.array_equal(row, edge_uniforms(s, count))
 
 
 @hypothesis.seed(21)
@@ -273,39 +267,19 @@ def test_integer_stream_refuses_ranges_it_cannot_draw():
 
 
 def test_edge_uniform_rows_agree_across_the_sampler_gate():
-    """Both kernels give the same draws, on a whole block, on its parts and
-    on a prefix of longer rows."""
+    """A block gives numpy's generator's draws row by row, and the same
+    draws on its parts and on a prefix of longer rows."""
     seeds = derive_seeds(17, range(256))
-    rows = edge_uniform_rows(seeds, 32, "vectorised")
-    assert np.array_equal(rows, edge_uniform_rows(seeds, 32, "numpy"))
-    split = [edge_uniform_rows(seeds[:255], 32, "numpy"), edge_uniform_rows(seeds[255:], 32, "vectorised")]
+    rows = edge_uniform_rows(seeds, 32)
+    assert np.array_equal(rows, [edge_uniforms(s, 32) for s in seeds.tolist()])
+    split = [edge_uniform_rows(seeds[:255], 32), edge_uniform_rows(seeds[255:], 32)]
     assert np.array_equal(rows, np.vstack(split))
-    assert np.array_equal(rows, edge_uniform_rows(seeds, 33, "numpy")[:, :32])
+    assert np.array_equal(rows, edge_uniform_rows(seeds, 33)[:, :32])
     assert np.array_equal(rows, edge_uniform_rows(seeds.tolist(), 32))
     # seeds of any integer dtype are read as ints and checked
     assert np.array_equal(edge_uniform_rows(np.arange(300), 6), edge_uniform_rows(list(range(300)), 6))
     with pytest.raises(ValueError):
         edge_uniform_rows(np.arange(-1, 299), 6)
-
-
-def test_sampler_weighs_the_numpy_random_import(monkeypatch):
-    """Before numpy.random is loaded, a run takes the array kernel unless its
-    extra time passes the import in every drawing process; once loaded, each
-    block takes its cheaper kernel."""
-    import numpy.random  # noqa: F401  (loaded, whatever the test order)
-
-    wide, tiny, psi_grid = (1, 32768), (2500, 6), [(4, 2016)] * 7 + [(2, 2016)]
-    assert sampler([wide] * 300 + [tiny]) == ["numpy"] * 300 + ["vectorised"]
-    assert sampler([(1, 6)]) == sampler(psi_grid)[:1] == ["numpy"]
-    block = (11, 1408)
-    extra = capacity._KERNEL_MS["vectorised"](*block) - capacity._KERNEL_MS["numpy"](*block)
-    between = math.ceil(1.5 * capacity._IMPORT_MS / extra)  # extra of 1.5 imports
-    monkeypatch.delitem(sys.modules, "numpy.random")
-    assert sampler([wide] * 300 + [tiny]) == ["numpy"] * 300 + ["vectorised"]
-    assert sampler([(1, 6)]) == ["vectorised"]
-    assert sampler(psi_grid) == ["vectorised"] * 8
-    assert sampler([block] * between, processes=1) == ["numpy"] * between
-    assert sampler([block] * between, processes=2) == ["vectorised"] * between
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
@@ -322,8 +296,9 @@ def test_block_rows_equal_one_seed_sampling(law, box):
 @pytest.mark.parametrize("box", [BoxSpec((3,), 2), BoxSpec((5,), 3)])
 def test_vectorised_block_rows_equal_one_seed_sampling(law, box):
     seeds = EDGE_SEEDS + derive_seeds(6, range(300)).tolist()
-    block = sample_block(box, law, R, seeds, "vectorised")
-    assert np.array_equal(block, sample_block(box, law, R, seeds, "numpy"))
+    block = sample_block(box, law, R, seeds)
+    u = np.array([edge_uniforms(s, box.edge_count) for s in seeds])
+    assert np.array_equal(block, capacity.caps_from_uniforms(law, R, u))
     for row, s in zip(block, seeds):
         assert np.array_equal(row, sample_field(box, law, R, s).caps)
 

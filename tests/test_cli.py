@@ -8,11 +8,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
+from reference_capacity import edge_uniforms
 
 import latticeflow
-from latticeflow import estimators
+from latticeflow import capacity, estimators
 from latticeflow.capacity import DistributionSpec
 from latticeflow.cli import (
     EXIT_BUDGET,
@@ -498,11 +500,9 @@ def test_fractional_height_coeff_rounds_up(tmp_path, rule, coeff, n, h):
 
 
 def test_sidecar_names_value_solver(tmp_path):
-    """The psi and nu sidecars name the value solver and count the sampling
-    blocks each kernel drew: 2048 psi replicas of a 2x2 box fill 8 blocks of
-    256 rows, two nu replicas on each of two slabs 4 one-row blocks. Runs in
-    a fresh interpreter, where numpy.random is unloaded unless numpy < 2
-    loads it eagerly, so the one-row blocks also take the array kernel."""
+    """The psi and nu sidecars name the value solver, and no sidecar counts
+    sampling blocks by kernel: one kernel draws them all. Runs in a fresh
+    interpreter, as the command line does."""
     psi = write_config(
         tmp_path, "psi.json",
         {"seed": 13, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 2048},
@@ -515,28 +515,22 @@ def test_sidecar_names_value_solver(tmp_path):
     argvs = [[command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv")]
              for command, cfg in (("psi", psi), ("nu", nu), ("verify", verify))]
     code = (
-        "import json, sys, numpy\n"
-        "eager = 'numpy.random' in sys.modules\n"
+        "import json, sys\n"
         "from latticeflow.cli import main\n"
-        "print(json.dumps([eager, [main(argv) for argv in json.loads(sys.argv[1])]]))"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))"
     )
-    eager, codes = json.loads(_python(code, json.dumps(argvs)))
-    assert codes == [EXIT_OK, EXIT_OK, EXIT_OK]
+    assert json.loads(_python(code, json.dumps(argvs))) == [EXIT_OK, EXIT_OK, EXIT_OK]
     for command in ("psi", "nu", "verify"):
         out = tmp_path / f"{command}.csv"
-        peak = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())["peak_rss_mb"]
-        assert 1 < peak < 2**12  # MiB: a CLI process holds tens of them
+        meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
+        assert 1 < meta["peak_rss_mb"] < 2**12  # MiB: a CLI process holds tens of them
         assert "rss" not in out.read_text()
-    nu_blocks = {"vectorised": 0, "numpy": 4} if eager else {"vectorised": 4, "numpy": 0}
-    for command, solver, blocks in (
-        ("psi", "planar_dual", {"vectorised": 8, "numpy": 0}),
-        ("nu", "search_trees", nu_blocks),
-    ):
+        assert "sampler_blocks" not in meta
+    for command, solver in (("psi", "planar_dual"), ("nu", "search_trees")):
         out = tmp_path / f"{command}.csv"
         meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
         assert meta["value_solver"] == solver
-        assert meta["sampler_blocks"] == blocks
-        assert solver not in out.read_text() and "vectorised" not in out.read_text()
+        assert solver not in out.read_text()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
@@ -556,24 +550,19 @@ def test_peak_rss_counts_reaped_children():
     assert peak == round(children, 2)
 
 
-def test_half_normal_psi_draws_through_numpy(tmp_path, monkeypatch):
-    """Sampling half_normal imports scipy.special, which loads numpy.random,
-    so the run leaves no import for the array kernel to save: a 3x3 box at
-    500 samples draws its 8 blocks through numpy even in a fresh interpreter,
-    with the CSV of a run forced onto the array kernel."""
+def test_half_normal_psi_equals_numpy_generator(tmp_path, monkeypatch):
+    """Sampling half_normal loads numpy.random through scipy.special, but its
+    blocks draw on the array kernel like every other law's: a 3x3 box at 500
+    samples gives the CSV of a run drawn through numpy's generator."""
     cfg = write_config(
         tmp_path, "hn.json",
         {"seed": 1, "distribution": {"kind": "half_normal", "sigma": 1.0}, "n": 3, "height": 3,
          "lambdas": ["0.5", "1.0", "1.5"], "samples": 500},
     )
-    argv = ["psi", "--config", cfg, "--out", str(tmp_path / "numpy.csv")]
-    code = "import json, sys\nfrom latticeflow.cli import main\nprint(main(json.loads(sys.argv[1])))"
-    assert int(_python(code, json.dumps(argv))) == EXIT_OK
-    meta = json.loads((tmp_path / "numpy.csv.meta.json").read_text())
-    assert meta["sampler_blocks"] == {"vectorised": 0, "numpy": 8}
-    monkeypatch.setattr(estimators, "sampler", lambda blocks, processes: ["vectorised"] * len(blocks))
-    assert run(["psi", "--config", cfg, "--out", tmp_path / "vectorised.csv"]) == EXIT_OK
-    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "vectorised.csv").read_bytes()
+    assert run(["psi", "--config", cfg, "--out", tmp_path / "array.csv"]) == EXIT_OK
+    _force_numpy(monkeypatch)
+    assert run(["psi", "--config", cfg, "--out", tmp_path / "numpy.csv"]) == EXIT_OK
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
 
 def test_sidecar_counts_bound_decisions(tmp_path):
@@ -706,8 +695,12 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
 
 
 def _force_numpy(monkeypatch):
-    """Every block of every run in this process draws through numpy's generator."""
-    monkeypatch.setattr(estimators, "sampler", lambda blocks, processes: ["numpy"] * len(blocks))
+    """Every block of every run in this process draws through numpy's
+    generator, row by row: the oracle of the array kernel."""
+    def rows(seeds, count):
+        return np.array([edge_uniforms(int(s), count) for s in seeds]).reshape(len(seeds), count)
+
+    monkeypatch.setattr(capacity, "edge_uniform_rows", rows)
 
 
 # Logs each process that imports numpy.random; forked pool workers inherit the hook.
@@ -721,20 +714,22 @@ _WATCH_NUMPY_RANDOM = (
 )
 
 
-@pytest.mark.parametrize("command, workers", [("psi", 1), ("nu", 1), ("nu", 2)])
-def test_short_runs_never_load_numpy_random(tmp_path, monkeypatch, command, workers):
-    """The 32x32 uniform psi run of the benchmark and the small nu run of the
-    CI, at one and two workers, sample every block with the array kernel, so
-    no process loads numpy.random, and their CSVs equal those of runs forced
-    onto numpy's generator."""
+@pytest.mark.parametrize("name, workers", [("psi", 1), ("nu", 1), ("nu", 2), ("nu_slab", 2)])
+def test_short_runs_never_load_numpy_random(tmp_path, monkeypatch, name, workers):
+    """The 32x32 uniform psi run and the d=3 slab nu run of the benchmark and
+    the small nu run of the CI, at one and two workers, sample every block
+    with the array kernel, so no process loads numpy.random, and their CSVs
+    equal those of runs drawn through numpy's generator."""
     configs = {
         "psi": {"seed": 1, "distribution": {"kind": "uniform", "a": "0", "b": "1"}, "d": 2,
                 "n": 32, "height": 32, "lambdas": ["0.2", "0.3", "0.4", "0.5"], "samples": 30},
         "nu": {"seed": 1, "distribution": {"kind": "exponential", "rate": 1.0}, "d": 3,
                "n_list": [2], "k_slab": 1, "replications": 4},
+        "nu_slab": {"seed": 1, "distribution": {"kind": "exponential", "rate": 1.0}, "d": 3,
+                    "n_list": [4, 8], "k_slab": 4, "replications": 300},
     }
-    cfg = write_config(tmp_path, "c.json", configs[command])
-    argv = [command, "--config", cfg, "--workers", str(workers)]
+    cfg = write_config(tmp_path, "c.json", configs[name])
+    argv = [name.split("_")[0], "--config", cfg, "--workers", str(workers)]
     log = tmp_path / "numpy_random.log"
     monkeypatch.setenv("NUMPY_RANDOM_LOG", str(log))
     code = _WATCH_NUMPY_RANDOM + (
@@ -745,14 +740,10 @@ def test_short_runs_never_load_numpy_random(tmp_path, monkeypatch, command, work
     )
     eager, exit_code = json.loads(_python(code, json.dumps([*argv, "--out", str(tmp_path / "a.csv")])))
     assert exit_code == EXIT_OK
-    if not eager:
-        assert not log.exists()
-        meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
-        assert meta["sampler_blocks"]["numpy"] == 0
+    assert eager or not log.exists()  # numpy < 2 loads numpy.random with numpy
     _force_numpy(monkeypatch)
     assert run([*argv, "--out", tmp_path / "b.csv"]) == EXIT_OK
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert json.loads((tmp_path / "b.csv.meta.json").read_text())["sampler_blocks"]["vectorised"] == 0
 
 
 def test_verify_never_loads_numpy_random(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .capacity import CapacityField
 from .flow import CutSet, min_cut
-from .lattice import GEOMETRY_CACHE_SIZE, RectSpec, edge_ends, edge_map
+from .lattice import GEOMETRY_CACHE_SIZE, RectSpec, edge_ends, edge_map, vertical_edges
 
 
 @dataclass(eq=False)
@@ -51,8 +51,8 @@ def uncuttable_edge_ids(base: RectSpec, half_height: int) -> frozenset[int]:
         coords = np.unravel_index(v // (height + 1), sides)
         return np.logical_or.reduce([(c == 0) | (c == k - 1) for c, k in zip(coords, sides)])
 
-    flat = (head == tail + 1) & (tail % (height + 1) == half_height)
-    return frozenset(np.flatnonzero(on_rim(tail) & on_rim(head) & ~flat).tolist())
+    flat = vertical_edges(sides, height)[:, half_height].tolist()
+    return frozenset(np.flatnonzero(on_rim(tail) & on_rim(head)).tolist()).difference(flat)
 
 
 def tau_slab(problem: SlabProblem) -> tuple[int, CutSet]:

@@ -33,7 +33,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .capacity import CapacityField, CapacityOverflowError
-from .lattice import BoxSpec, Point, edge_ends, edges_in_box, vertex_points
+from .lattice import BoxSpec, Point, edge_ends, edges_in_box, vertex_points, vertical_edges
 
 MAX_TOTAL_UNITS = 2**63 - 1
 
@@ -366,8 +366,7 @@ def _values(box: BoxSpec, rows: np.ndarray, never_cut: frozenset[int], limits=No
 
 def _bounds(box: BoxSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flow bounds of each row: the sum of column minima, the lightest layer of vertical edges."""
-    tail, head = edge_ends(box.dims, box.height)
-    columns = rows[:, head == tail + 1].reshape(len(rows), box.base_area, box.height)
+    columns = rows[:, vertical_edges(box.dims, box.height)]
     return columns.min(axis=2).sum(axis=1), columns.sum(axis=1).min(axis=1)
 
 
@@ -466,9 +465,7 @@ def flow_value(stream: Stream) -> int:
     This is the signed sum over the top layer of vertical edges, which for
     height 1 boxes reads the same edges the fluid entered through.
     """
-    height = stream.box.height
-    tail, head = edge_ends(stream.box.dims, height)
-    top = np.flatnonzero((head == tail + 1) & (head % (height + 1) == height))
+    top = vertical_edges(stream.box.dims, stream.box.height)[:, -1]
     return sum(stream.flow[top].tolist())
 
 
@@ -510,6 +507,8 @@ def decompose_paths(box: BoxSpec, stream: Stream, k: int) -> list[tuple[Point, .
     circulation. Exactly k*flow/R paths are returned and each uses a copy of
     an edge at most once.
     """
+    if stream.box != box:
+        raise ValueError("stream does not cover this box")
     if k < 1 or stream.resolution % k:
         raise ValueError("k must divide the stream resolution")
     step = stream.resolution // k

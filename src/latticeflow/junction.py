@@ -20,7 +20,7 @@ import numpy as np
 
 from .capacity import CapacityField, CapacityOverflowError, as_fraction, discretize, is_power_of_two
 from .flow import Stream, _unbalanced, decompose_paths, flow_value, max_flow
-from .lattice import BoxSpec, edge_ends, edge_index, edge_map
+from .lattice import BoxSpec, edge_ends, edge_index, edge_map, vertical_edges
 
 
 class JunctionHypothesisError(ValueError):
@@ -48,7 +48,7 @@ class DiscreteStream(Stream):
         box = self.box
         if any(x % step for x in self.flow.tolist()):
             raise ValueError(f"amounts are not multiples of 1/{self.level}")
-        faces = np.concatenate([_vertical_layer(box, box.z_lo), _vertical_layer(box, box.z_hi - 1)])
+        faces = vertical_edges(box.dims, box.height)[:, [0, -1]]
         if (self.flow[faces] < 0).any():
             raise ValueError("face edges must carry flow bottom-up")
         tail = edge_ends(box.dims, box.height)[0]  # only top-face edges start on the top face
@@ -57,12 +57,6 @@ class DiscreteStream(Stream):
         unbalanced = _unbalanced(self)
         if unbalanced:
             raise ValueError(f"stream is unbalanced at {unbalanced[0][0]}")
-
-
-def _vertical_layer(box: BoxSpec, layer: int) -> np.ndarray:
-    """Ids of the vertical edges through [layer, layer + 1], in base-point order."""
-    tail, head = edge_ends(box.dims, box.height)
-    return np.flatnonzero((head == tail + 1) & (tail % (box.height + 1) == layer - box.z_lo))
 
 
 def _flow_from_paths(box: BoxSpec, paths, unit: int) -> np.ndarray:
@@ -189,8 +183,8 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
     if flow_value(s2) < need_units:
         raise JunctionHypothesisError("flow_shortfall", which="upper stream")
     cap = (math.floor(lamf * n ** (d - 1)) + 1) * r  # projections are truncated at cap
-    below = s1.flow[_vertical_layer(b1, b1.z_hi - 1)].tolist()
-    above = s2.flow[_vertical_layer(b2, b2.z_lo)].tolist()
+    layers = vertical_edges(b1.dims, b1.height)  # the boxes share dims and height
+    below, above = s1.flow[layers[:, -1]].tolist(), s2.flow[layers[:, 0]].tolist()
     for base, x, y in zip(b1.base_points(), below, above):
         if min(abs(x), cap) != min(abs(y), cap):
             raise JunctionHypothesisError("projection_mismatch", base_point=base)

@@ -11,15 +11,15 @@ Fluid can therefore enter or leave a box only through its bottom and top.
 
 All objects here are immutable after construction and safe to share across
 worker processes. Edge ids are dense integers given by the lexicographic
-ordering of the edges, and ``edge_ends`` holds that numbering for every
-solver. It numbers the vertices from the bottom face to the top face in C
-order over ``dims + (height + 1,)``: vertex v has z-index
-``v % (height + 1)``, counted up from the bottom face, and base index
-``v // (height + 1)``, in C order over ``dims``. Ids and vertex indices do
-not depend on the offset, so solver geometry is keyed on (dims, height)
-alone; ``edges_in_box`` places the same numbering at a box's offset.
-``edge_index`` looks ids up from vertex-index pairs, and ``edge_map`` matches
-the edges of two boxes that share a place in Z^d.
+ordering of the edges, and ``edge_ends`` holds that numbering for every solver.
+It numbers the vertices from the bottom face to the top face in C order over
+``dims + (height + 1,)``: vertex v has z-index ``v % (height + 1)``, counted up
+from the bottom face, and base index ``v // (height + 1)``, in C order over
+``dims``. Ids and vertex indices do not depend on the offset, so solver
+geometry is keyed on (dims, height) alone; ``edges_in_box`` places the same
+numbering at a box's offset. ``vertical_edges`` lays out the vertical edge ids
+by column and level, ``edge_index`` looks ids up from vertex-index pairs, and
+``edge_map`` matches the edges of two boxes that share a place in Z^d.
 """
 
 from __future__ import annotations
@@ -178,6 +178,16 @@ def edge_ends(dims: tuple[int, ...], height: int) -> tuple[np.ndarray, np.ndarra
     tail.setflags(write=False)
     head.setflags(write=False)
     return tail, head
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def vertical_edges(dims: tuple[int, ...], height: int) -> np.ndarray:
+    """Read-only (base index, z-index) grid of the vertical edge ids: entry [b, z]
+    joins z-index z to z + 1 above base index b, as ids run by base index, then z."""
+    tail, head = edge_ends(dims, height)
+    grid = np.flatnonzero(head == tail + 1).reshape(-1, height)
+    grid.setflags(write=False)
+    return grid
 
 
 def edge_index(box: BoxSpec, tail: np.ndarray, head: np.ndarray) -> np.ndarray:

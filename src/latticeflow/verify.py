@@ -40,7 +40,7 @@ from .junction import (
     translate_field,
     translate_stream,
 )
-from .lattice import BoxSpec, RectSpec, edge_ends
+from .lattice import BoxSpec, RectSpec, edge_ends, vertical_edges
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,7 @@ def check_junction(seed: int, trials: int = 20) -> PropertyResult:
     for (box, level, col), f1 in zip(shapes, fields):
         n, height = box.dims[0], box.height
         if col:  # fat column: one column wide open, everything else shut
-            tail, head = edge_ends(box.dims, height)
-            fat = (head == tail + 1) & (tail // (height + 1) == col - 1)
+            fat = np.isin(np.arange(box.edge_count), vertical_edges(box.dims, height)[col - 1])
             f1 = CapacityField(box, r, np.where(fat, 2 * r, 0))
         s1 = discrete_max_flow_stream(box, f1, level)
         flow1 = flow_value(s1)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from latticeflow.capacity import as_fraction
-from latticeflow.junction import DiscreteStream, _vertical_layer
+from latticeflow.junction import DiscreteStream
+from latticeflow.lattice import vertical_edges
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ def truncated_projection(ds: DiscreteStream, layer: int, lam, n: int) -> tuple[i
     if not box.z_lo <= layer < box.z_hi:
         raise ValueError("layer outside the box")
     cap = _cap_units(lamf, n, box.d, ds.resolution)
-    return tuple(min(abs(x), cap) for x in ds.flow[_vertical_layer(box, layer)].tolist())
+    layer_ids = vertical_edges(box.dims, box.height)[:, layer - box.z_lo]
+    return tuple(min(abs(x), cap) for x in ds.flow[layer_ids].tolist())
 
 
 def boundary_condition(ds: DiscreteStream, lam, n: int) -> BoundaryCondition:

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import pkgutil
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from reference_flow import solve_min_cut
 from reference_lattice import box_vertices, edge_ids, face_vertices
 
+import latticeflow
 from latticeflow import cuts, estimators, flow, lattice
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
@@ -302,6 +305,14 @@ def test_decompose_tally_on_seeded_instance():
         assert used <= abs(int(res.stream.flow[i])) // step
 
 
+def test_decompose_rejects_a_stream_on_another_box():
+    box = BoxSpec((2,), 2)
+    stream = max_flow(box, CapacityField.constant(box, R)).stream
+    assert decompose_paths(box, stream, 1)[0] == ((1, 0), (1, 1), (1, 2))
+    with pytest.raises(ValueError, match="does not cover"):
+        decompose_paths(box.translate((7, 5)), stream, 1)
+
+
 def test_decompose_rejects_non_discrete():
     box = BoxSpec((1,), 1)
     stream = Stream(box, R, np.array([R // 3]))
@@ -583,6 +594,7 @@ BOUNDED_CACHES = {
     "flow._dual_adjacency": flow._dual_adjacency,
     "flow._contracted": flow._contracted,
     "cuts.uncuttable_edge_ids": cuts.uncuttable_edge_ids,
+    "lattice.vertical_edges": lattice.vertical_edges,
 }
 
 
@@ -609,6 +621,21 @@ def test_cache_stays_bounded(many_shapes_solved, name):
     info = BOUNDED_CACHES[name].cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     assert info.misses > info.maxsize  # the shapes did overflow the bound
+
+
+def test_every_package_cache_is_bounded():
+    """A cache without a finite ``maxsize`` grows with every shape a long run
+    meets, so each ``cache_info()`` attribute of every module must have one."""
+    caches = {}
+    for module in pkgutil.iter_modules(latticeflow.__path__):
+        mod = importlib.import_module(f"latticeflow.{module.name}")
+        for name, value in vars(mod).items():
+            if hasattr(value, "cache_info"):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value.cache_info().maxsize
+    expected = {f"latticeflow.{name}" for name in BOUNDED_CACHES} | {"latticeflow.capacity._master_pool"}
+    assert expected <= set(caches)  # the walk does reach the known caches
+    unbounded = [name for name, maxsize in caches.items() if maxsize is None]
+    assert not unbounded, f"caches without a bound: {unbounded}"
 
 
 @given(

@@ -24,6 +24,7 @@ from latticeflow.lattice import (
     edge_index,
     edge_map,
     edges_in_box,
+    vertical_edges,
 )
 
 
@@ -234,6 +235,26 @@ def test_vertical_edge_count_in_cube():
         box = BoxSpec((n,) * (d - 1), h)
         verticals = [e for e in edges_in_box(box) if classify_edge(e) == VERTICAL]
         assert len(verticals) == n ** (d - 1) * h
+
+
+@pytest.mark.parametrize(
+    "box",
+    [BoxSpec((3,), 4, (5, -2)), BoxSpec((1,), 1), BoxSpec((2, 3), 2), BoxSpec((2, 1, 2), 3, (1, 1, 1, 1))],
+)
+def test_vertical_edges_grid(box):
+    """Row b is the b-th base point in lexicographic (C) order, column z the
+    edge from z-index z to z + 1, read off the ``Edge`` view."""
+    expected = np.zeros((box.base_area, box.height), dtype=np.int64)
+    base_index = {p: b for b, p in enumerate(box.base_points())}
+    for i, e in enumerate(edges_in_box(box)):
+        if classify_edge(e) == VERTICAL:
+            expected[base_index[e.a[:-1]], e.a[-1] - box.z_lo] = i
+    grid = vertical_edges(box.dims, box.height)
+    assert grid.dtype == np.int64 and grid.shape == expected.shape
+    assert np.array_equal(grid, expected)
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0
 
 
 def test_rect_validation():

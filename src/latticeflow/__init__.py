@@ -18,7 +18,7 @@ from .capacity import (
     sample_block,
     sample_field,
 )
-from .cuts import SlabProblem, SubadditivityReport, check_subadditivity, tau_slab
+from .cuts import SubadditivityReport, check_subadditivity, tau_slab
 from .estimators import (
     EnumerationBudgetError,
     NuEstimate,

@@ -69,6 +69,18 @@ def unit_count(value: Fraction, resolution: int) -> int:
     return (value.numerator * resolution) // value.denominator
 
 
+def int64_copy(values, what: str) -> np.ndarray:
+    """A read-only int64 copy of ``values``; a non-integer dtype raises ValueError."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iub":
+        raise ValueError(f"{what} must be integers, not {values.dtype}")
+    out = values.astype(np.int64)
+    if values.dtype.kind == "u" and (out < 0).any():  # only uint64 past 2**63 - 1 wraps
+        raise CapacityOverflowError(f"{what} must be below 2**63")
+    out.setflags(write=False)
+    return out
+
+
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -163,13 +175,12 @@ class CapacityField:
     def __post_init__(self) -> None:
         if not is_power_of_two(self.resolution):
             raise ValueError("resolution must be a positive power of two")
-        caps = np.array(self.caps, dtype=np.int64, copy=True)
+        caps = int64_copy(self.caps, "capacities")
         n = self.box.edge_count
         if caps.shape != (n,):
             raise ValueError(f"expected {n} capacities, got shape {caps.shape}")
         if n and int(caps.min()) < 0:
             raise ValueError("capacities must be non-negative")
-        caps.setflags(write=False)
         self.caps = caps
 
     @classmethod

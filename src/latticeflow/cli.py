@@ -31,7 +31,7 @@ from .capacity import (
     is_power_of_two,
     sample_field,
 )
-from .cuts import SlabProblem, tau_slab
+from .cuts import tau_slab
 from .estimators import (
     EnumerationBudgetError,
     estimate_nu_sweep,
@@ -334,8 +334,8 @@ def _run_tau(config, workers):
     dist, d, r = _law(config)
     n, k = config["n"], config["k_slab"]
     field = sample_field(_box(d, n, k_slab=k), dist, r, config["seed"])
-    value, cut = tau_slab(SlabProblem(RectSpec.cube(n, d), k, field))
-    rows = [[d, n, k, config["seed"], r, value, _dec(Fraction(value, r)), len(cut.edge_ids)]]
+    cut = tau_slab(RectSpec.cube(n, d), k, field)
+    rows = [[d, n, k, config["seed"], r, cut.weight, _dec(Fraction(cut.weight, r)), len(cut.edge_ids)]]
     return ["d", "n", "k_slab", "seed", "resolution", "value_units", "value", "cut_size"], rows
 
 
@@ -353,7 +353,7 @@ def _run_nu(config, workers):
     return [
         "d", "n", "k_slab", "replications", "seed", "resolution",
         "mean_num", "mean_den", "mean", "stderr",
-    ], rows, {"value_solver": value_solver(d), **_peak_rss()}
+    ], rows, {"value_solver": value_solver(d)}
 
 
 def _run_psi(config, workers):
@@ -376,7 +376,7 @@ def _run_psi(config, workers):
     return [
         "lam", "lam_exact", "d", "n", "h", "k_disc", "samples", "hits",
         "hit_rate", "psi_hat", "psi_ci_lo", "psi_ci_hi", "infinite_flag", "seed",
-    ], rows, {"value_solver": value_solver(d), "solver_counts": tally, **_peak_rss()}
+    ], rows, {"value_solver": value_solver(d), "solver_counts": tally}
 
 
 def _run_oracle(config, workers):
@@ -402,7 +402,7 @@ def _run_oracle(config, workers):
 def _run_verify(config, workers):
     results = run_all(config["seed"], config.get("scale", 1.0))
     rows = [[r.name, r.trials, r.violations, "pass" if r.passed else "FAIL"] for r in results]
-    return ["property", "trials", "violations", "status"], rows, _peak_rss()
+    return ["property", "trials", "violations", "status"], rows
 
 
 def _run_report(config, workers):
@@ -434,7 +434,7 @@ _RUNNERS = {
 }
 
 
-def _write_outputs(out: Path, command: str, config: dict, workers: int, header, rows, meta=None) -> None:
+def _write_outputs(out: Path, command: str, config: dict, workers: int, header, rows, meta: dict) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -446,8 +446,8 @@ def _write_outputs(out: Path, command: str, config: dict, workers: int, header, 
         "config": config,
         "seed": config.get("seed"),
         "workers": workers,
+        **meta,
     }
-    sidecar.update(meta or {})
     with open(str(out) + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -525,7 +525,7 @@ def main(argv=None) -> int:
         print(f"latticeflow: error: {err}", file=sys.stderr)
         return EXIT_ERROR
 
-    _write_outputs(out, args.command, config, workers, header, rows, *meta)
+    _write_outputs(out, args.command, config, workers, header, rows, dict(*meta, **_peak_rss()))
     if args.command == "verify":
         failures = [row for row in rows if row[3] != "pass"]
         if failures:

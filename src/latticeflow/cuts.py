@@ -20,21 +20,6 @@ from .flow import CutSet, min_cut
 from .lattice import GEOMETRY_CACHE_SIZE, RectSpec, edge_ends, edge_map, vertical_edges
 
 
-@dataclass(eq=False)
-class SlabProblem:
-    """tau(S, k) instance: base rectangle, slab half-height and its field."""
-
-    base: RectSpec
-    half_height: int
-    field: CapacityField
-
-    def __post_init__(self) -> None:
-        if self.half_height < 1:
-            raise ValueError("half_height must be >= 1")
-        if self.field.box != self.base.slab_box(self.half_height):
-            raise ValueError("field must cover exactly the slab box of the base")
-
-
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def uncuttable_edge_ids(base: RectSpec, half_height: int) -> frozenset[int]:
     """Slab edge ids excluded from cut membership by the pinning condition.
@@ -55,15 +40,12 @@ def uncuttable_edge_ids(base: RectSpec, half_height: int) -> frozenset[int]:
     return frozenset(np.flatnonzero(on_rim(tail) & on_rim(head)).tolist()).difference(flat)
 
 
-def tau_slab(problem: SlabProblem) -> tuple[int, CutSet]:
-    """Minimum pinned cut weight in the slab, with a certificate cut.
-
-    The returned cut separates the slab bottom from the slab top, satisfies
-    the pinning condition by construction, and its weight equals the value.
-    """
-    never = uncuttable_edge_ids(problem.base, problem.half_height)
-    cut = min_cut(problem.field.box, problem.field, never)
-    return cut.weight, cut
+def tau_slab(base: RectSpec, half_height: int, field: CapacityField) -> CutSet:
+    """Minimum pinned cut of the slab of ``base`` at ``half_height``, on a
+    ``field`` covering exactly that slab box; tau(S, k) is its weight."""
+    if field.box != base.slab_box(half_height):
+        raise ValueError("field must cover exactly the slab box of the base")
+    return min_cut(field.box, field, uncuttable_edge_ids(base, half_height))
 
 
 @dataclass(eq=False)
@@ -89,15 +71,10 @@ def _check_compatible(left: RectSpec, right: RectSpec) -> RectSpec:
         raise ValueError("rectangles must agree in all axes but one")
     i = split[0]
     if left.hi[i] == right.lo[i]:
-        lo, hi = left.lo, right.hi
-    elif right.hi[i] == left.lo[i]:
-        lo, hi = right.lo, left.hi
-    else:
-        raise ValueError("rectangles must be contiguous along the split axis")
-    return RectSpec(
-        left.lo[:i] + (min(left.lo[i], right.lo[i]),) + left.lo[i + 1 :],
-        left.hi[:i] + (max(left.hi[i], right.hi[i]),) + left.hi[i + 1 :],
-    )
+        return RectSpec(left.lo, right.hi)
+    if right.hi[i] == left.lo[i]:
+        return RectSpec(right.lo, left.hi)
+    raise ValueError("rectangles must be contiguous along the split axis")
 
 
 def check_subadditivity(
@@ -109,25 +86,18 @@ def check_subadditivity(
     Raises if the subadditivity inequality fails, which would indicate a
     solver defect, and returns the three values with the glued certificate.
     """
-    union = _check_compatible(left, right)
-    union_box = union.slab_box(half_height)
-    if field.box != union_box:
-        raise ValueError("field must cover the union slab box")
-    tau_u, _cut_u = tau_slab(SlabProblem(union, half_height, field))
-    parts = []
-    for rect in (left, right):
-        sub = field.restrict_to(rect.slab_box(half_height))
-        parts.append(tau_slab(SlabProblem(rect, half_height, sub)))
-    (tau_l, cut_l), (tau_r, cut_r) = parts
+    tau_u = tau_slab(_check_compatible(left, right), half_height, field).weight
+    cut_l, cut_r = (
+        tau_slab(rect, half_height, field.restrict_to(rect.slab_box(half_height))) for rect in (left, right)
+    )
+    tau_l, tau_r = cut_l.weight, cut_r.weight
 
     glued = set()
     for rect, cut in ((left, cut_l), (right, cut_r)):
-        glued.update(edge_map(rect.slab_box(half_height), union_box)[list(cut.edge_ids)].tolist())
+        glued.update(edge_map(rect.slab_box(half_height), field.box)[list(cut.edge_ids)].tolist())
     glued_cut = CutSet(frozenset(glued), tau_l + tau_r)
 
     report = SubadditivityReport(tau_u, tau_l, tau_r, cut_l, cut_r, glued_cut)
     if not report.holds:
-        raise RuntimeError(
-            f"subadditivity violated: {tau_u} > {tau_l} + {tau_r} (solver defect)"
-        )
+        raise RuntimeError(f"subadditivity violated: {tau_u} > {tau_l} + {tau_r} (solver defect)")
     return report

@@ -232,7 +232,6 @@ def estimate_psi_sweep(
     *,
     d: int = 2,
     resolution: int = DEFAULT_RESOLUTION,
-    z: float = 1.96,
     workers: int = 1,
     tally: Counter | None = None,
 ) -> list[PsiEstimate]:
@@ -267,7 +266,7 @@ def estimate_psi_sweep(
         else:
             psi = math.log(samples) / volume
             infinite = True
-        p_lo, p_hi = wilson_interval(hits, samples, z)
+        p_lo, p_hi = wilson_interval(hits, samples)
         ci_lo = -math.log(p_hi) / volume + 0.0
         ci_hi = math.inf if p_lo == 0.0 else -math.log(p_lo) / volume
         out.append(

@@ -32,7 +32,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .capacity import CapacityField, CapacityOverflowError
+from .capacity import CapacityField, CapacityOverflowError, int64_copy
 from .lattice import BoxSpec, Point, edge_ends, edges_in_box, vertex_points, vertical_edges
 
 MAX_TOTAL_UNITS = 2**63 - 1
@@ -57,10 +57,9 @@ class Stream:
     flow: np.ndarray
 
     def __post_init__(self) -> None:
-        flow = np.array(self.flow, dtype=np.int64, copy=True)
+        flow = int64_copy(self.flow, "flows")
         if flow.shape != (self.box.edge_count,):
             raise ValueError("the flow array must have one entry per box edge")
-        flow.setflags(write=False)
         self.flow = flow
 
 
@@ -114,6 +113,14 @@ def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _edge_list(never_cut: frozenset[int], edge_count: int) -> list[int]:
+    """The never-cut ids as a list; raises ValueError unless each is a box edge."""
+    never = list(never_cut)
+    if not all(0 <= e < edge_count for e in never):
+        raise ValueError(f"never-cut edge ids must lie in [0, {edge_count})")
+    return never
+
+
 _LEFT, _RIGHT = 0, 1
 
 
@@ -139,7 +146,7 @@ def _dual_adjacency(
     gap = np.where(vertical, col - 1, col)
     row = np.where(vertical, z, z - 1)
     crossable = z < height
-    crossable[list(never_cut)] = False
+    crossable[_edge_list(never_cut, len(tail))] = False
     kept = np.flatnonzero(crossable)
 
     def cell(gap: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -199,7 +206,7 @@ def _contracted(
             v = parent[v]
         return v
 
-    never = list(never_cut)
+    never = _edge_list(never_cut, len(tail))
     for u, v in zip(tail[never].tolist(), head[never].tolist()):
         parent[find(u)] = find(v)
     root = [find(v) for v in range(len(parent))]

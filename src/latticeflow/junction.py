@@ -124,9 +124,7 @@ def flip_vertical(ds: DiscreteStream) -> DiscreteStream:
     """
     box = ds.box
     mirror = _mirror(box)
-    kept = mirror >= 0
-    if ds.flow[~kept].any():
-        raise ValueError("flow on a top-face edge has no mirror image")
+    kept = mirror >= 0  # the rest lie inside the top face and carry no flow
     if (ds.flow == np.iinfo(np.int64).min).any():
         raise CapacityOverflowError("a flow of -2**63 units has no 64-bit mirror image")
     tail, head = edge_ends(box.dims, box.height)
@@ -138,9 +136,7 @@ def flip_vertical(ds: DiscreteStream) -> DiscreteStream:
 
 def merge_stacked_fields(bottom: CapacityField, top: CapacityField) -> CapacityField:
     """One field on the union of a box and the box stacked directly above it."""
-    b, t = bottom.box, top.box
-    _check_stacked(b, t)
-    union = BoxSpec(b.dims, b.height + t.height, b.offset)
+    union = _check_stacked(bottom.box, top.box)
     if bottom.resolution != top.resolution:
         raise ValueError("resolutions differ")
     caps = np.zeros(union.edge_count, dtype=np.int64)
@@ -149,13 +145,15 @@ def merge_stacked_fields(bottom: CapacityField, top: CapacityField) -> CapacityF
     return CapacityField(union, bottom.resolution, caps)
 
 
-def _check_stacked(b: BoxSpec, t: BoxSpec) -> None:
+def _check_stacked(b: BoxSpec, t: BoxSpec) -> BoxSpec:
+    """The union of a box and the box stacked directly above it."""
     if b.dims != t.dims or b.offset[:-1] != t.offset[:-1]:
         raise ValueError("boxes must share the same base")
     if t.z_lo != b.z_hi:
         raise ValueError("upper box must sit directly on top of the lower one")
     if t.height != b.height:
         raise ValueError("boxes must have equal heights")
+    return BoxSpec(b.dims, b.height + t.height, b.offset)
 
 
 def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int) -> DiscreteStream:
@@ -173,7 +171,7 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
     if s1.resolution != s2.resolution:
         raise ValueError("resolutions differ")
     b1, b2 = s1.box, s2.box
-    _check_stacked(b1, b2)
+    union = _check_stacked(b1, b2)
     r = s1.resolution
     d = b1.d
     need_units = lamf * n ** (d - 1) * r  # exact threshold in units
@@ -189,7 +187,6 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
         if min(abs(x), cap) != min(abs(y), cap):
             raise JunctionHypothesisError("projection_mismatch", base_point=base)
 
-    union = BoxSpec(b1.dims, b1.height + b2.height, b1.offset)
     interface = b1.z_hi
     heavy = [x > need_units for x in below]
 

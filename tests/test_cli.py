@@ -500,27 +500,29 @@ def test_fractional_height_coeff_rounds_up(tmp_path, rule, coeff, n, h):
 
 
 def test_sidecar_names_value_solver(tmp_path):
-    """The psi and nu sidecars name the value solver, and no sidecar counts
-    sampling blocks by kernel: one kernel draws them all. Runs in a fresh
-    interpreter, as the command line does."""
-    psi = write_config(
-        tmp_path, "psi.json",
-        {"seed": 13, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 2048},
-    )
-    nu = write_config(
-        tmp_path, "nu.json",
-        {"seed": 13, "distribution": BERN, "d": 3, "n_list": [2, 3], "k_slab": 1, "replications": 2},
-    )
-    verify = write_config(tmp_path, "verify.json", {"seed": 13, "scale": 0.0001})
-    argvs = [[command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv")]
-             for command, cfg in (("psi", psi), ("nu", nu), ("verify", verify))]
+    """Every sidecar records the peak RSS, the psi and nu sidecars name the
+    value solver, and no sidecar counts sampling blocks by kernel: one kernel
+    draws them all. Runs in a fresh interpreter, as the command line does."""
+    box = {"seed": 13, "distribution": BERN, "n": 2, "height": 2}
+    configs = {  # report merges the flow CSV, so it runs after flow
+        "sample": box,
+        "flow": box,
+        "tau": {"seed": 13, "distribution": BERN, "n": 2, "k_slab": 1},
+        "psi": {**box, "lambdas": ["0.5"], "samples": 2048},
+        "nu": {"seed": 13, "distribution": BERN, "d": 3, "n_list": [2, 3], "k_slab": 1, "replications": 2},
+        "oracle": {**box, "lam": "1"},
+        "verify": {"seed": 13, "scale": 0.0001},
+        "report": {"inputs": [str(tmp_path / "flow.csv")]},
+    }
+    argvs = [[command, "--config", write_config(tmp_path, f"{command}.json", cfg),
+              "--out", str(tmp_path / f"{command}.csv")] for command, cfg in configs.items()]
     code = (
         "import json, sys\n"
         "from latticeflow.cli import main\n"
         "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))"
     )
-    assert json.loads(_python(code, json.dumps(argvs))) == [EXIT_OK, EXIT_OK, EXIT_OK]
-    for command in ("psi", "nu", "verify"):
+    assert json.loads(_python(code, json.dumps(argvs))) == [EXIT_OK] * len(configs)
+    for command in configs:
         out = tmp_path / f"{command}.csv"
         meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
         assert 1 < meta["peak_rss_mb"] < 2**12  # MiB: a CLI process holds tens of them

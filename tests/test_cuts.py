@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from reference_lattice import face_vertices
 
+from latticeflow import cuts
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
     CapacityField,
@@ -13,7 +14,6 @@ from latticeflow.capacity import (
     sample_field,
 )
 from latticeflow.cuts import (
-    SlabProblem,
     check_subadditivity,
     tau_slab,
     uncuttable_edge_ids,
@@ -98,16 +98,15 @@ def test_constant_field_flat_cut():
         base = RectSpec.cube(n, d)
         c = R // 2
         field = CapacityField.constant(base.slab_box(2), c)
-        value, cut = tau_slab(SlabProblem(base, 2, field))
-        assert value == c * n ** (d - 1)
+        cut = tau_slab(base, 2, field)
+        assert cut.weight == c * n ** (d - 1)
         assert len(cut.edge_ids) == n ** (d - 1)
 
 
 def test_zero_field():
     base = RectSpec.cube(2, 2)
     field = CapacityField.constant(base.slab_box(3), 0)
-    value, cut = tau_slab(SlabProblem(base, 3, field))
-    assert value == 0 and cut.weight == 0
+    assert tau_slab(base, 3, field).weight == 0
 
 
 def test_width_two_base_forces_flat_cut():
@@ -116,7 +115,7 @@ def test_width_two_base_forces_flat_cut():
     dist = DistributionSpec.bernoulli("0.5", 0, 1)
     for trial in range(6):
         field = sample_field(base.slab_box(2), dist, R, seed=derive_seed(500, trial))
-        value, cut = tau_slab(SlabProblem(base, 2, field))
+        value = tau_slab(base, 2, field).weight
         assert value == oracle_tau(base, 2, field)
         flat = [c for e, c in zip(edges_in_box(base.slab_box(2)), field.caps.tolist()) if e.a[-1] == 0 and e.b[-1] == 1 and classify_edge(e) == VERTICAL]
         assert value == sum(flat)
@@ -127,8 +126,7 @@ def test_matches_exhaustive_pinned_minimisation():
     dist = DistributionSpec.finite_discrete([("0", "0.5"), ("1", "0.5")])
     for trial in range(5):
         field = sample_field(base.slab_box(1), dist, R, seed=derive_seed(501, trial))
-        value, cut = tau_slab(SlabProblem(base, 1, field))
-        assert value == oracle_tau(base, 1, field)
+        assert tau_slab(base, 1, field).weight == oracle_tau(base, 1, field)
 
 
 def test_uncuttable_ids_match_first_principles():
@@ -141,7 +139,7 @@ def test_cut_never_contains_uncuttable_edges():
     never = uncuttable_edge_ids(base, 3)
     for trial in range(8):
         field = sample_field(base.slab_box(3), DistributionSpec.uniform(0, 1), R, seed=derive_seed(502, trial))
-        _, cut = tau_slab(SlabProblem(base, 3, field))
+        cut = tau_slab(base, 3, field)
         assert not (cut.edge_ids & never)
 
 
@@ -152,7 +150,7 @@ def test_tau_non_increasing_in_slab_height():
         values = []
         for k in (1, 2, 3):
             sub = field.restrict_to(base.slab_box(k))
-            values.append(tau_slab(SlabProblem(base, k, sub))[0])
+            values.append(tau_slab(base, k, sub).weight)
         assert values[0] >= values[1] >= values[2]
 
 
@@ -160,7 +158,7 @@ def test_tau_dominates_unpinned_flow():
     base = RectSpec((0,), (4,))
     for trial in range(6):
         field = sample_field(base.slab_box(2), DistributionSpec.uniform(0, 1), R, seed=derive_seed(504, trial))
-        pinned, _ = tau_slab(SlabProblem(base, 2, field))
+        pinned = tau_slab(base, 2, field).weight
         unpinned = min_cut(base.slab_box(2), field).weight
         assert unpinned == max_flow(base.slab_box(2), field).value
         assert pinned >= unpinned
@@ -232,12 +230,24 @@ def test_subadditivity_rejects_incompatible_bases():
     field = CapacityField.constant(RectSpec((0,), (3,)).slab_box(1), 0)
     with pytest.raises(ValueError):
         check_subadditivity(RectSpec((0,), (1,)), RectSpec((2,), (3,)), 1, field)
+    with pytest.raises(ValueError):  # the field is not on the union slab
+        check_subadditivity(RectSpec((0,), (1,)), RectSpec((1,), (3,)), 2, field)
+
+
+def test_union_of_bases_in_either_order():
+    left, right = RectSpec((0, 0), (2, 3)), RectSpec((0, 3), (2, 5))
+    union = RectSpec((0, 0), (2, 5))
+    assert cuts._check_compatible(left, right) == union == cuts._check_compatible(right, left)
+    field = sample_field(union.slab_box(1), DistributionSpec.uniform(0, 1), R, seed=9)
+    a, b = check_subadditivity(left, right, 1, field), check_subadditivity(right, left, 1, field)
+    assert (a.tau_union, a.tau_left, a.tau_right) == (b.tau_union, b.tau_right, b.tau_left)
+    assert a.glued_cut == b.glued_cut
 
 
 def test_slab_problem_validation():
     base = RectSpec((0,), (2,))
     field = CapacityField.constant(BoxSpec((2,), 2), 0)  # wrong box (not the slab)
     with pytest.raises(ValueError):
-        SlabProblem(base, 1, field)
+        tau_slab(base, 1, field)
     with pytest.raises(ValueError):
-        SlabProblem(base, 0, CapacityField.constant(base.slab_box(1), 0))
+        tau_slab(base, 0, CapacityField.constant(base.slab_box(1), 0))

@@ -20,7 +20,7 @@ from latticeflow.capacity import (
     unit_count,
 )
 from latticeflow import cuts, estimators, flow, lattice, verify
-from latticeflow.cuts import SlabProblem, tau_slab
+from latticeflow.cuts import tau_slab
 from latticeflow.estimators import (
     EnumerationBudgetError,
     estimate_nu,
@@ -47,7 +47,7 @@ def exact_mean_tau(dist, n, k_slab, d=2, resolution=R):
     total = Fraction(0)
     for assign in itertools.product(range(len(units)), repeat=m):
         caps = np.array([units[j] for j in assign], dtype=np.int64)
-        value, _ = tau_slab(SlabProblem(base, k_slab, CapacityField(box, resolution, caps)))
+        value = tau_slab(base, k_slab, CapacityField(box, resolution, caps)).weight
         prob = Fraction(1)
         for j in assign:
             prob *= dist.probs[j]
@@ -110,7 +110,7 @@ def test_nu_is_independent_of_sampling_blocks(monkeypatch, count):
     base, k_slab, dist = RectSpec.cube(3, 2), 2, DistributionSpec.exponential(1.0)
     slab = base.slab_box(k_slab)
     taus = [
-        tau_slab(SlabProblem(base, k_slab, sample_field(slab, dist, R, derive_seed(33, r))))[0]
+        tau_slab(base, k_slab, sample_field(slab, dist, R, derive_seed(33, r))).weight
         for r in range(count)
     ]
     default = estimate_nu(dist, 3, k_slab, count, seed=33)

@@ -22,7 +22,7 @@ from latticeflow.capacity import (
     discretize,
     sample_field,
 )
-from latticeflow.cuts import SlabProblem, tau_slab, uncuttable_edge_ids
+from latticeflow.cuts import tau_slab, uncuttable_edge_ids
 from latticeflow.flow import (
     CapacityOverflowError,
     PinningInfeasibleError,
@@ -236,6 +236,26 @@ def test_balance_sums_are_exact_past_int64():
     ]
 
 
+def test_non_integer_values_are_refused():
+    """Capacities and flows of a float dtype are refused, not cast: the cast
+    would make 0.7 a 0, and 1e30 a RuntimeWarning and then the wrong error."""
+    box = BoxSpec((2,), 1)
+    for caps in ([0.7, 1.9, 2.5], [1.0, 2.0, 3.0], [1e30, 0, 0]):
+        with pytest.raises(ValueError, match="capacities must be integers"):
+            CapacityField(box, R, caps)
+    with pytest.raises(ValueError, match="flows must be integers"):
+        Stream(BoxSpec((1,), 1), R, [0.9])  # as [0] it would fit an edge of capacity 0
+    # a Python int past int64 arrives as uint64, and the cast would wrap it
+    for values in ([2**63], np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(CapacityOverflowError, match="below 2"):
+            CapacityField(BoxSpec((1,), 1), R, values)
+        with pytest.raises(CapacityOverflowError, match="below 2"):
+            Stream(BoxSpec((1,), 1), R, values)
+    # integer, unsigned and boolean arrays are exact in int64
+    for caps in ([1, 0, 2], np.array([1, 0, 2], dtype=np.uint8), np.array([True, False, True])):
+        assert CapacityField(box, R, caps).caps.tolist() == np.asarray(caps, dtype=int).tolist()
+
+
 def test_negative_flows_are_exact_at_the_int64_edge():
     box = BoxSpec((2,), 1)  # no vertex below the top face, so nothing to balance
     ids = edge_ids(box)
@@ -443,7 +463,7 @@ def test_dual_pinned_slab_matches_tau_slab(k, half, lo, law, seed):
     base = RectSpec((lo,), (lo + k,))
     field = sample_field(base.slab_box(half), law, R, seed)
     never = uncuttable_edge_ids(base, half)
-    assert min_cut_value(field.box, field, never) == tau_slab(SlabProblem(base, half, field))[0]
+    assert min_cut_value(field.box, field, never) == tau_slab(base, half, field).weight
 
 
 def test_dual_infeasible_pinning_matches_reference():
@@ -501,7 +521,7 @@ def test_contracted_pinned_slab_matches_tau_slab(d, sides, half, lo, law, seed):
     base = RectSpec(lo, tuple(a + s for a, s in zip(lo, sides)))
     field = sample_field(base.slab_box(half), law, R, seed)
     never = uncuttable_edge_ids(base, half)
-    assert min_cut_value(field.box, field, never) == tau_slab(SlabProblem(base, half, field))[0]
+    assert min_cut_value(field.box, field, never) == tau_slab(base, half, field).weight
 
 
 def test_contracted_infeasible_pinning_matches_reference():
@@ -518,6 +538,22 @@ def test_contracted_infeasible_pinning_matches_reference():
     value, cut = solve_min_cut(box, field, partial)
     assert min_cut_value(box, field, partial) == value
     assert min_cut(box, field, partial) == cut
+
+
+@pytest.mark.parametrize("box", [BoxSpec((3,), 3), BoxSpec((2, 2), 2)], ids=["d2", "d3"])
+def test_never_cut_ids_outside_the_box_are_refused(box):
+    """Never-cut ids index the edge arrays, so each must be a box edge: a
+    negative one would pin an edge counted from the end, and one past the
+    last edge would end in an IndexError."""
+    field = sample_field(box, DistributionSpec.uniform(0, 1), R, seed=5)
+    m = box.edge_count
+    for never in ({-3, -2}, {-1}, {m}, {0, m + 3}):
+        for solve in (min_cut_value, min_cut):
+            with pytest.raises(ValueError, match="never-cut edge ids"):
+                solve(box, field, frozenset(never))
+    value, cut = solve_min_cut(box, field, frozenset({m - 3, m - 2}))
+    assert min_cut_value(box, field, frozenset({m - 3, m - 2})) == value
+    assert min_cut(box, field, frozenset({m - 3, m - 2})) == cut
 
 
 @given(
@@ -547,7 +583,8 @@ def test_certificates_match_reference(d, sides, h, offset, law, seed, k_disc, pi
         field = discretize(field, k_disc)
     if pinned:
         never = uncuttable_edge_ids(base, half)
-        assert tau_slab(SlabProblem(base, half, field)) == solve_min_cut(box, field, never)
+        cut = tau_slab(base, half, field)
+        assert (cut.weight, cut) == solve_min_cut(box, field, never)
         return
     value, cut = solve_min_cut(box, field)
     res = max_flow(box, field)
@@ -608,7 +645,7 @@ def many_shapes_solved():
         base = RectSpec((i,) * (d - 1), tuple(i + s for s in sides))
         half = 1 + j // 16
         field = CapacityField.constant(base.slab_box(half), R)
-        tau_slab(SlabProblem(base, half, field))
+        tau_slab(base, half, field)
         min_cut_value(field.box, field)
         res = max_flow(field.box, field)
         assert validate_stream(field.box, field, res.stream) == []

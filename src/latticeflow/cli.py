@@ -5,9 +5,9 @@ mandatory seed, and writes a CSV with a fixed column set next to a JSON
 sidecar recording the exact config, seed and package version. Identical
 configs produce byte-identical CSVs, whatever the worker count.
 
-Exit codes: 0 success, 1 runtime failure or property violations,
-2 config/schema violation, 3 enumeration budget exceeded, 4 capacity
-overflow.
+Exit codes, mapped from what any stage raises by ``_FAILURES``: 0 success,
+1 runtime failure, unwritable output or property violations, 2 unreadable
+config or schema violation, 3 enumeration budget exceeded, 4 capacity overflow.
 """
 
 from __future__ import annotations
@@ -406,19 +406,23 @@ def _run_verify(config, workers):
 
 
 def _run_report(config, workers):
+    csv.field_size_limit(2**31 - 1)  # flow's cut_edge_ids outgrow the 131 072 default
     header = None
     rows = []
     for path in config["inputs"]:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            head = next(reader, None)
-            if head is None:
-                raise ConfigError(f"{path} is empty")
-            if header is None:
-                header = head
-            elif head != header:
-                raise ConfigError(f"column set of {path} differs from the first input")
-            rows.extend(reader)
+            try:
+                head = next(reader, None)
+                if head is None:
+                    raise ConfigError(f"{path} is empty")
+                if header is None:
+                    header = head
+                elif head != header:
+                    raise ConfigError(f"column set of {path} differs from the first input")
+                rows.extend(reader)
+            except csv.Error as err:
+                raise ConfigError(f"{path}: {err}") from None
     return header, rows
 
 
@@ -434,7 +438,8 @@ _RUNNERS = {
 }
 
 
-def _write_outputs(out: Path, command: str, config: dict, workers: int, header, rows, meta: dict) -> None:
+def _write_outputs(command: str, config: dict, workers: int, header, rows, meta: dict) -> None:
+    out = Path(config.get("out", f"{command}.csv"))
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -469,17 +474,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    if args.config is None:
-        config = {}
-    else:
-        with open(args.config) as fh:
-            config = json.load(fh)
+    """The config with the --seed, --out and worker overrides, schema-checked."""
+    try:
+        config = {} if args.config is None else json.loads(Path(args.config).read_text("utf-8"))
+    except (OSError, ValueError, RecursionError) as err:
+        raise ConfigError(f"{args.config}: {err}") from None
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.out is not None:
-        config["out"] = args.out
+    workers = args.workers
+    if workers is None and os.environ.get(ENV_WORKERS):
+        try:
+            workers = int(os.environ[ENV_WORKERS])
+        except ValueError:
+            raise ConfigError(f"{ENV_WORKERS} must be an integer") from None
+    for key, value in (("seed", args.seed), ("out", args.out), ("workers", workers)):
+        if value is not None:
+            config[key] = value
     err = next(_errors(SCHEMAS[args.command], config), None)
     if err is not None:
         raise ConfigError(f"config schema violation: {err}")
@@ -488,51 +498,33 @@ def _load_config(args) -> dict:
     return config
 
 
+# Exit code and message prefix per failure, first match first: ConfigError is a
+# ValueError and EnumerationBudgetError a RuntimeError, so the last rows come last.
+_FAILURES = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    EnumerationBudgetError: (EXIT_BUDGET, "enumeration budget exceeded"),
+    CapacityOverflowError: (EXIT_OVERFLOW, "capacity overflow"),
+    ValueError: (EXIT_ERROR, "error"),
+    RuntimeError: (EXIT_ERROR, "error"),
+    OSError: (EXIT_ERROR, "error"),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as err:
-        print(f"latticeflow: config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    workers = args.workers
-    if workers is None and os.environ.get(ENV_WORKERS):
-        try:
-            workers = int(os.environ[ENV_WORKERS])
-        except ValueError:
-            print(f"latticeflow: config error: {ENV_WORKERS} must be an integer", file=sys.stderr)
-            return EXIT_CONFIG
-    if workers is None:
         workers = config.get("workers", 1)
-    if workers < 1:
-        print("latticeflow: config error: the worker count must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(config.get("out", f"{args.command}.csv"))
-    try:
         header, rows, *meta = _RUNNERS[args.command](config, workers)
-    except ConfigError as err:
-        print(f"latticeflow: config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EnumerationBudgetError as err:
-        print(f"latticeflow: enumeration budget exceeded: {err}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CapacityOverflowError as err:
-        print(f"latticeflow: capacity overflow: {err}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except (ValueError, RuntimeError, OSError) as err:
-        print(f"latticeflow: error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-
-    _write_outputs(out, args.command, config, workers, header, rows, dict(*meta, **_peak_rss()))
-    if args.command == "verify":
-        failures = [row for row in rows if row[3] != "pass"]
-        if failures:
-            for row in failures:
-                print(f"latticeflow: property {row[0]} failed", file=sys.stderr)
-            return EXIT_ERROR
-    return EXIT_OK
+        _write_outputs(args.command, config, workers, header, rows, dict(*meta, **_peak_rss()))
+    except tuple(_FAILURES) as err:
+        code, prefix = next(_FAILURES[kind] for kind in _FAILURES if isinstance(err, kind))
+        print(f"latticeflow: {prefix}: {err}", file=sys.stderr)
+        return code
+    failed = [row[0] for row in rows if row[3] != "pass"] if args.command == "verify" else []
+    for name in failed:
+        print(f"latticeflow: property {name} failed", file=sys.stderr)
+    return EXIT_ERROR if failed else EXIT_OK
 
 
 def console_main() -> None:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -468,6 +469,60 @@ def test_nonpositive_workers_is_config_error(tmp_path, monkeypatch):
     assert run(["psi", "--config", cfg, "--workers", 0, "--out", tmp_path / "a.csv"]) == EXIT_CONFIG
     monkeypatch.setenv("LATTICEFLOW_WORKERS", "-1")
     assert run(["psi", "--config", cfg, "--out", tmp_path / "b.csv"]) == EXIT_CONFIG
+    monkeypatch.delenv("LATTICEFLOW_WORKERS")
+    keyed = write_config(
+        tmp_path, "k.json",
+        {"seed": 1, "distribution": BERN, "n": 2, "height": 2, "lambdas": ["0.5"], "samples": 2,
+         "workers": 0},
+    )
+    assert run(["psi", "--config", keyed, "--out", tmp_path / "c.csv"]) == EXIT_CONFIG
+
+
+def _out_in_tmp(tmp_path):
+    return ["--out", tmp_path / "s.csv"]
+
+
+def _out_is_a_directory(tmp_path):
+    return ["--out", tmp_path]
+
+
+def _out_under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return ["--out", tmp_path / "file" / "s.csv"]
+
+
+def _config_text(text):
+    def setup(tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(text)
+        return ["--config", path, "--out", tmp_path / "s.csv"]
+    return setup
+
+
+@pytest.mark.parametrize(
+    "setup, env, code, prefix",
+    [
+        (_out_is_a_directory, None, EXIT_ERROR, "error"),
+        (_out_under_a_file, None, EXIT_ERROR, "error"),
+        (_config_text(b"\xff\xfe{}"), None, EXIT_CONFIG, "config error"),
+        (_config_text(b'{"seed": ' + b"1" * 5000 + b"}"), None, EXIT_CONFIG, "config error"),
+        (_config_text(b"[" * 100000 + b"]" * 100000), None, EXIT_CONFIG, "config error"),
+        (_out_in_tmp, "abc", EXIT_CONFIG, "config error"),
+    ],
+    ids=["out-directory", "out-under-file", "non-utf8-config", "5000-digit-int", "deep-nesting",
+         "workers-env-abc"],
+)
+def test_every_failure_exits_with_its_code_and_no_traceback(tmp_path, monkeypatch, capsys, setup, env,
+                                                            code, prefix):
+    """Reading the config, the worker count, the run and the writes all fail
+    through one path: the documented exit code and one ``latticeflow:`` line."""
+    cfg = write_config(tmp_path, "box.json", {"seed": 1, "distribution": BERN, "n": 2, "height": 2})
+    if env is not None:
+        monkeypatch.setenv("LATTICEFLOW_WORKERS", env)
+    assert run(["sample", "--config", cfg, *setup(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"latticeflow: {prefix}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_report_on_empty_csv_is_config_error(tmp_path):
@@ -475,6 +530,33 @@ def test_report_on_empty_csv_is_config_error(tmp_path):
     empty.write_text("")
     cfg = write_config(tmp_path, "r.json", {"inputs": [str(empty)]})
     assert run(["report", "--config", cfg, "--out", tmp_path / "m.csv"]) == EXIT_CONFIG
+
+
+def test_report_merges_fields_past_the_csv_default_limit(tmp_path):
+    """A flow cut at d=2 n=40000 writes a cut_edge_ids field of ~234 000
+    characters, past csv's default limit of 131 072."""
+    field = " ".join(["12345"] * 33333) + " 12"  # 200 000 characters
+    big = tmp_path / "big.csv"
+    big.write_text(f"cut_size,cut_edge_ids\n33334,{field}\n")
+    cfg = write_config(tmp_path, "r.json", {"inputs": [str(big), str(big)]})
+    merged = tmp_path / "m.csv"
+    assert run(["report", "--config", cfg, "--out", merged]) == EXIT_OK
+    assert merged.read_text() == f"cut_size,cut_edge_ids\n33334,{field}\n33334,{field}\n"
+
+
+def test_report_csv_error_is_a_config_error_naming_the_file(tmp_path, monkeypatch, capsys):
+    """A field past even the raised limit, here cut to 100 characters."""
+    limit = csv.field_size_limit
+    old = limit()
+    monkeypatch.setattr(csv, "field_size_limit", lambda new: limit(100))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a\n" + "1" * 101 + "\n")
+    cfg = write_config(tmp_path, "r.json", {"inputs": [str(bad)]})
+    try:
+        assert run(["report", "--config", cfg, "--out", tmp_path / "m.csv"]) == EXIT_CONFIG
+    finally:
+        limit(old)
+    assert f"latticeflow: config error: {bad}: field larger than field limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

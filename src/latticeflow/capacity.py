@@ -145,21 +145,6 @@ class DistributionSpec:
     def is_finite(self) -> bool:
         return self.kind in _FINITE_KINDS
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DistributionSpec":
-        kind = obj.get("kind")
-        if kind == BERNOULLI:
-            return cls.bernoulli(obj["p"], obj.get("lo", 0), obj.get("hi", 1))
-        if kind == FINITE_DISCRETE:
-            return cls.finite_discrete([(v, p) for v, p in obj["atoms"]])
-        if kind == UNIFORM:
-            return cls.uniform(obj["a"], obj["b"])
-        if kind == EXPONENTIAL:
-            return cls.exponential(float(obj["rate"]))
-        if kind == HALF_NORMAL:
-            return cls.half_normal(float(obj["sigma"]))
-        raise ValueError(f"unknown distribution kind: {kind!r}")
-
 
 @dataclass(eq=False)
 class CapacityField:

@@ -7,7 +7,7 @@ configs produce byte-identical CSVs, whatever the worker count.
 
 Exit codes, mapped from what any stage raises by ``_FAILURES``: 0 success,
 1 runtime failure, unwritable output or property violations, 2 unreadable
-config or schema violation, 3 enumeration budget exceeded, 4 capacity overflow.
+config or input file or schema violation, 3 enumeration budget exceeded, 4 capacity overflow.
 """
 
 from __future__ import annotations
@@ -58,35 +58,26 @@ class ConfigError(ValueError):
 _NUMBER = {"type": ["number", "string"]}
 _POSITIVE = {"type": "integer", "minimum": 1}
 
-_DISTRIBUTION_FIELDS = {
-    "bernoulli": ["p"],
-    "finite_discrete": ["atoms"],
-    "uniform": ["a", "b"],
-    "exponential": ["rate"],
-    "half_normal": ["sigma"],
+# kind: (constructor, n, its parameters as JSON fields with schema types; the first n are required)
+_LAWS = {
+    "bernoulli": (DistributionSpec.bernoulli, 1, {"p": _NUMBER, "lo": _NUMBER, "hi": _NUMBER}),
+    "finite_discrete": (DistributionSpec.finite_discrete, 1, {
+        "atoms": {"type": "array", "items": {"type": "array", "minItems": 2, "maxItems": 2}}}),
+    "uniform": (DistributionSpec.uniform, 2, {"a": _NUMBER, "b": _NUMBER}),
+    "exponential": (DistributionSpec.exponential, 1, {"rate": {"type": "number"}}),
+    "half_normal": (DistributionSpec.half_normal, 1, {"sigma": {"type": "number"}}),
 }
 
 _DISTRIBUTION_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "allOf": [
-        {
-            "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
-            "then": {"required": fields},
-        }
-        for kind, fields in _DISTRIBUTION_FIELDS.items()
+        {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+         "then": {"required": list(fields)[:n]}}
+        for kind, (_, n, fields) in _LAWS.items()
     ],
-    "properties": {
-        "kind": {"enum": list(_DISTRIBUTION_FIELDS)},
-        "p": _NUMBER,
-        "lo": _NUMBER,
-        "hi": _NUMBER,
-        "atoms": {"type": "array", "items": {"type": "array", "minItems": 2, "maxItems": 2}},
-        "a": _NUMBER,
-        "b": _NUMBER,
-        "rate": {"type": "number"},
-        "sigma": {"type": "number"},
-    },
+    "properties": {"kind": {"enum": list(_LAWS)}}
+    | {key: rule for _, _, fields in _LAWS.values() for key, rule in fields.items()},
 }
 
 _HEIGHT_SCHEMA = {
@@ -239,6 +230,15 @@ def _parse(parse, value):
         raise ConfigError(f"bad value {value!r}: {err}") from None
 
 
+def _read(path, parse):
+    """``parse`` of the UTF-8 file at ``path``; any failure to read it is a config error naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh)
+    except (OSError, ValueError, RecursionError, csv.Error) as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
 def _lam(value) -> Fraction:
     lam = _parse(as_fraction, value)
     if lam < 0:
@@ -248,7 +248,8 @@ def _lam(value) -> Fraction:
 
 def _law(config) -> tuple[DistributionSpec, int, int]:
     """The capacity law, the dimension d and the resolution R of a run."""
-    dist = _parse(DistributionSpec.from_json, config["distribution"])
+    make, _, fields = _LAWS[config["distribution"]["kind"]]
+    dist = _parse(lambda law: make(**{k: law[k] for k in fields if k in law}), config["distribution"])
     r = config.get("resolution", DEFAULT_RESOLUTION)
     if not is_power_of_two(r):
         raise ConfigError("resolution must be a power of two")
@@ -405,24 +406,26 @@ def _run_verify(config, workers):
     return ["property", "trials", "violations", "status"], rows
 
 
+def _csv_rows(fh) -> list[list[str]]:
+    """The rows of a CSV file; flow's cut_edge_ids outgrow csv's 131 072-character field default."""
+    limit = csv.field_size_limit(2**31 - 1)
+    try:
+        return list(csv.reader(fh))
+    finally:
+        csv.field_size_limit(limit)
+
+
 def _run_report(config, workers):
-    csv.field_size_limit(2**31 - 1)  # flow's cut_edge_ids outgrow the 131 072 default
-    header = None
-    rows = []
+    header, rows = None, []
     for path in config["inputs"]:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                head = next(reader, None)
-                if head is None:
-                    raise ConfigError(f"{path} is empty")
-                if header is None:
-                    header = head
-                elif head != header:
-                    raise ConfigError(f"column set of {path} differs from the first input")
-                rows.extend(reader)
-            except csv.Error as err:
-                raise ConfigError(f"{path}: {err}") from None
+        table = _read(path, _csv_rows)
+        if not table:
+            raise ConfigError(f"{path} is empty")
+        if header is None:
+            header = table[0]
+        elif table[0] != header:
+            raise ConfigError(f"column set of {path} differs from the first input")
+        rows.extend(table[1:])
     return header, rows
 
 
@@ -441,7 +444,7 @@ _RUNNERS = {
 def _write_outputs(command: str, config: dict, workers: int, header, rows, meta: dict) -> None:
     out = Path(config.get("out", f"{command}.csv"))
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -453,7 +456,7 @@ def _write_outputs(command: str, config: dict, workers: int, header, rows, meta:
         "workers": workers,
         **meta,
     }
-    with open(str(out) + ".meta.json", "w") as fh:
+    with open(str(out) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -475,10 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> dict:
     """The config with the --seed, --out and worker overrides, schema-checked."""
-    try:
-        config = {} if args.config is None else json.loads(Path(args.config).read_text("utf-8"))
-    except (OSError, ValueError, RecursionError) as err:
-        raise ConfigError(f"{args.config}: {err}") from None
+    config = {} if args.config is None else _read(args.config, json.load)
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     workers = args.workers

@@ -63,20 +63,6 @@ def test_distribution_validation():
         DistributionSpec.bernoulli("0.5", lo=-1)
 
 
-def test_distribution_json_round_trip():
-    """A config's law dict reads back as the law its constructor builds."""
-    for obj, dist in (
-        ({"kind": "bernoulli", "p": "0.9", "lo": 0, "hi": 1}, DistributionSpec.bernoulli("0.9", 0, 1)),
-        ({"kind": "bernoulli", "p": 0.9}, DistributionSpec.bernoulli("9/10", 0, 1)),
-        ({"kind": "finite_discrete", "atoms": [["0", "1/2"], [1, 0.5]]},
-         DistributionSpec.finite_discrete([("0", "1/2"), ("1", "1/2")])),
-        ({"kind": "uniform", "a": "0", "b": 1}, DistributionSpec.uniform("0", "1")),
-        ({"kind": "exponential", "rate": 2}, DistributionSpec.exponential(2.0)),
-        ({"kind": "half_normal", "sigma": 0.5}, DistributionSpec.half_normal(0.5)),
-    ):
-        assert DistributionSpec.from_json(obj) == dist
-
-
 def test_degenerate_bernoulli_saturates():
     box = BoxSpec((3,), 2)
     field = sample_field(box, DistributionSpec.bernoulli(1, 0, 1), R, seed=5)

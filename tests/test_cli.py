@@ -27,6 +27,7 @@ from latticeflow.cli import (
     SCHEMAS,
     ConfigError,
     _box,
+    _law,
     _resolve_height,
     main,
 )
@@ -557,6 +558,52 @@ def test_report_csv_error_is_a_config_error_naming_the_file(tmp_path, monkeypatc
     finally:
         limit(old)
     assert f"latticeflow: config error: {bad}: field larger than field limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("write", [
+    None,  # missing
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"a\n\xff\n"),  # not UTF-8
+], ids=["missing", "directory", "not_utf8"])
+def test_report_input_that_cannot_be_read_is_a_config_error_naming_it(tmp_path, capsys, write):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("a\n1\n")
+    if write is not None:
+        write(bad)
+    cfg = write_config(tmp_path, "r.json", {"inputs": [str(good), str(bad)]})
+    assert run(["report", "--config", cfg, "--out", tmp_path / "m.csv"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"latticeflow: config error: {bad}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_report_restores_the_csv_field_limit(tmp_path):
+    """report raises csv's process-wide field limit only while it reads."""
+    data = tmp_path / "a.csv"
+    data.write_text("a\n1\n")
+    cfg = write_config(tmp_path, "r.json", {"inputs": [str(data)]})
+    old = csv.field_size_limit(131_072)  # the default, whatever ran before
+    try:
+        assert run(["report", "--config", cfg, "--out", tmp_path / "m.csv"]) == EXIT_OK
+        assert csv.field_size_limit() == 131_072
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_distribution_json_round_trip():
+    """A config's law dict reads back as the law its constructor builds; a
+    field of another law is ignored."""
+    for obj, dist in (
+        ({"kind": "bernoulli", "p": "0.9", "lo": 0, "hi": 1}, DistributionSpec.bernoulli("0.9", 0, 1)),
+        ({"kind": "bernoulli", "p": 0.9}, DistributionSpec.bernoulli("9/10", 0, 1)),
+        ({"kind": "finite_discrete", "atoms": [["0", "1/2"], [1, 0.5]]},
+         DistributionSpec.finite_discrete([("0", "1/2"), ("1", "1/2")])),
+        ({"kind": "uniform", "a": "0", "b": 1}, DistributionSpec.uniform("0", "1")),
+        ({"kind": "uniform", "a": 0, "b": 1, "lo": 5}, DistributionSpec.uniform(0, 1)),
+        ({"kind": "exponential", "rate": 2}, DistributionSpec.exponential(2.0)),
+        ({"kind": "half_normal", "sigma": 0.5}, DistributionSpec.half_normal(0.5)),
+    ):
+        assert _law({"distribution": obj})[0] == dist
 
 
 @pytest.mark.parametrize(

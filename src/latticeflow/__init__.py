@@ -57,6 +57,5 @@ from .lattice import (
     BoxSpec,
     Edge,
     RectSpec,
-    classify_edge,
     edges_in_box,
 )

@@ -39,7 +39,7 @@ from .estimators import (
     exact_tail_probability,
 )
 from .flow import CapacityOverflowError, min_cut, value_solver
-from .lattice import BoxSpec, RectSpec, classify_edge, edges_in_box
+from .lattice import HORIZONTAL, VERTICAL, BoxSpec, RectSpec, edge_ends, vertex_points
 from .verify import run_all
 
 EXIT_OK = 0
@@ -305,10 +305,10 @@ def _run_sample(config, workers):
     dist, d, r = _law(config)
     box = _box(d, config["n"], config["height"])
     field = sample_field(box, dist, r, config["seed"])
-    rows = []
-    for i, e in enumerate(edges_in_box(box)):
-        c = int(field.caps[i])
-        rows.append([i, str(e.a), str(e.b), classify_edge(e), c, _dec(Fraction(c, r))])
+    points = [str(p) for p in vertex_points(box)]
+    tail, head = (a.tolist() for a in edge_ends(box.dims, box.height))
+    rows = [[i, points[t], points[h], VERTICAL if h == t + 1 else HORIZONTAL, c, _dec(Fraction(c, r))]
+            for i, (t, h, c) in enumerate(zip(tail, head, field.caps.tolist()))]
     return ["edge_id", "endpoint_a", "endpoint_b", "kind", "cap_units", "cap"], rows
 
 

@@ -354,13 +354,7 @@ class PsiCurveReport:
         return not self.monotonicity_violations and not self.convexity_violations
 
 
-def psi_curve_diagnostics(
-    estimates: list[PsiEstimate],
-    nu_hat,
-    *,
-    nu_margin: float = 0.0,
-    tolerance: float = 0.0,
-) -> PsiCurveReport:
+def psi_curve_diagnostics(estimates: list[PsiEstimate], nu_hat) -> PsiCurveReport:
     """Monotonicity and midpoint-convexity checks beyond the CI noise.
 
     A monotonicity violation needs the whole CI of the earlier point to sit
@@ -394,7 +388,7 @@ def psi_curve_diagnostics(
     finite = [e for e in dedup if not e.infinite_flag]
     mono = []
     for a, b in zip(finite, finite[1:]):
-        if a.ci_lo > b.ci_hi + tolerance:
+        if a.ci_lo > b.ci_hi:
             mono.append((float(a.lam), float(b.lam)))
     convex = []
     for lo, mid, hi in zip(finite, finite[1:], finite[2:]):
@@ -402,10 +396,10 @@ def psi_curve_diagnostics(
         chord = lo.psi_hat + (hi.psi_hat - lo.psi_hat) * (x1 - x0) / (x2 - x0)
         halfwidth = (mid.ci_hi - mid.ci_lo) / 2
         neighbour = ((lo.ci_hi - lo.ci_lo) + (hi.ci_hi - hi.ci_lo)) / 4
-        if mid.psi_hat - chord > halfwidth + neighbour + tolerance:
+        if mid.psi_hat - chord > halfwidth + neighbour:
             convex.append(x1)
     below = [e.psi_hat for e in finite if float(e.lam) < nu]
-    above = [e.psi_hat for e in finite if float(e.lam) > nu + nu_margin]
+    above = [e.psi_hat for e in finite if float(e.lam) > nu]
     return PsiCurveReport(
         tuple(mono),
         tuple(convex),

@@ -77,15 +77,6 @@ class Edge:
     def axis(self) -> int:
         return _unit_axis(self.a, self.b)
 
-    @property
-    def d(self) -> int:
-        return len(self.a)
-
-
-def classify_edge(e: Edge) -> str:
-    """An edge is vertical when it varies in the last coordinate."""
-    return VERTICAL if e.axis == e.d - 1 else HORIZONTAL
-
 
 @dataclass(frozen=True)
 class BoxSpec:

@@ -4,12 +4,13 @@ Test oracle for ``latticeflow.lattice.edge_ends``, whose index arithmetic
 must reproduce this lexicographic numbering at every offset, and for
 ``latticeflow.cuts.uncuttable_edge_ids``, which must reproduce the pinned
 set that ``inner_boundary_edges`` defines point by point. Also the point
-sets the reference solver and the tests build their faces from.
+sets the reference solver and the tests build their faces from, and the
+kind of a single ``Edge``.
 """
 
 from __future__ import annotations
 
-from latticeflow.lattice import BoxSpec, Edge, Point, RectSpec
+from latticeflow.lattice import HORIZONTAL, VERTICAL, BoxSpec, Edge, Point, RectSpec
 
 
 def sorted_edges_in_box(box: BoxSpec) -> tuple[Edge, ...]:
@@ -26,6 +27,11 @@ def sorted_edges_in_box(box: BoxSpec) -> tuple[Edge, ...]:
                     edges.append(Edge(base + (z,), nb + (z,)))
     edges.sort(key=lambda e: (e.a, e.b))
     return tuple(edges)
+
+
+def classify_edge(e: Edge) -> str:
+    """An edge is vertical when it varies in the last coordinate."""
+    return VERTICAL if e.axis == len(e.a) - 1 else HORIZONTAL
 
 
 def edge_ids(box: BoxSpec) -> dict[Edge, int]:

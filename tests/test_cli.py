@@ -577,6 +577,31 @@ def test_report_input_that_cannot_be_read_is_a_config_error_naming_it(tmp_path, 
     assert "Traceback" not in err
 
 
+def _report_with_another_header(tmp_path):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    one.write_text("a,b\n1,2\n")
+    two.write_text("a,c\n1,2\n")
+    config = write_config(tmp_path, "r.json", {"inputs": [str(one), str(two)]})
+    return "report", config, f"column set of {two} differs from the first input"
+
+
+def _config_that_is_an_array(tmp_path):
+    return "sample", write_config(tmp_path, "c.json", [1]), "config must be a JSON object"
+
+
+def _resolution_three(tmp_path):
+    config = {"seed": 1, "distribution": BERN, "n": 2, "height": 2, "resolution": 3}
+    return "sample", write_config(tmp_path, "c.json", config), "resolution must be a power of two"
+
+
+@pytest.mark.parametrize("setup", [_report_with_another_header, _config_that_is_an_array, _resolution_three],
+                         ids=["report-header", "config-array", "resolution-3"])
+def test_bad_input_exits_2_with_one_config_error_line(tmp_path, capsys, setup):
+    command, config, message = setup(tmp_path)
+    assert run([command, "--config", config, "--out", tmp_path / "m.csv"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"latticeflow: config error: {message}\n"
+
+
 def test_report_restores_the_csv_field_limit(tmp_path):
     """report raises csv's process-wide field limit only while it reads."""
     data = tmp_path / "a.csv"

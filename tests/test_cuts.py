@@ -3,7 +3,7 @@ from collections import defaultdict, deque
 
 import numpy as np
 import pytest
-from reference_lattice import face_vertices
+from reference_lattice import classify_edge, face_vertices
 
 from latticeflow import cuts
 from latticeflow.capacity import (
@@ -23,7 +23,6 @@ from latticeflow.lattice import (
     VERTICAL,
     BoxSpec,
     RectSpec,
-    classify_edge,
     edges_in_box,
 )
 

@@ -23,6 +23,7 @@ from latticeflow import cuts, estimators, flow, lattice, verify
 from latticeflow.cuts import tau_slab
 from latticeflow.estimators import (
     EnumerationBudgetError,
+    PsiEstimate,
     estimate_nu,
     estimate_psi,
     estimate_psi_sweep,
@@ -448,6 +449,26 @@ def test_diagnostics_single_point_vacuous():
     report = psi_curve_diagnostics(ests, Fraction(1, 4))
     assert report.monotonicity_violations == ()
     assert report.convexity_violations == ()
+
+
+def _psi_point(lam, hits, psi_hat, halfwidth=0.05):
+    return PsiEstimate(Fraction(lam), 2, 2, 2, R, 100, hits, 0, R, psi_hat,
+                       psi_hat - halfwidth, psi_hat + halfwidth, False)
+
+
+def test_diagnostics_report_each_violation():
+    """Hand-built curves: a drop whose CIs do not overlap, and a middle point
+    above its chord by more than the combined CI half-widths."""
+    drop = [_psi_point("0.1", 40, 0.5), _psi_point("0.2", 60, 0.1)]
+    report = psi_curve_diagnostics(drop, Fraction(3, 20))
+    assert report.monotonicity_violations == ((0.1, 0.2),)
+    assert report.convexity_violations == ()
+    assert (report.max_psi_below_nu, report.min_psi_above_nu) == (0.5, 0.1)
+    bump = [_psi_point("0.1", 90, 0.0), _psi_point("0.2", 50, 0.9), _psi_point("0.3", 10, 1.0)]
+    report = psi_curve_diagnostics(bump, Fraction(1, 4))
+    assert report.monotonicity_violations == ()
+    assert report.convexity_violations == (0.2,)
+    assert not report.clean
 
 
 def test_diagnostics_validation():

@@ -287,6 +287,24 @@ def test_decompose_walks_negative_flow_backwards():
         assert decompose_paths(box, stream, 2) == [((2, 0), (2, 1), (1, 1), (1, 2))] * 2
 
 
+def test_decompose_excises_a_closed_loop():
+    """One unit path from (1, 0) to (2, 3) plus a unit circulation around the
+    square (1, 1) -> (2, 1) -> (2, 2) -> (1, 2) -> (1, 1): the walk closes the
+    loop at (1, 1) and keeps only the path."""
+    box = BoxSpec((2,), 3)
+    ids = edge_ids(box)
+    flow = np.zeros(len(ids), dtype=np.int64)
+    for (a, b), units in [
+        (((1, 0), (1, 1)), 1), (((2, 2), (2, 3)), 1),
+        (((1, 1), (2, 1)), 2), (((2, 1), (2, 2)), 2),
+        (((1, 1), (1, 2)), -1), (((1, 2), (2, 2)), -1),
+    ]:
+        flow[ids[Edge(a, b)]] = units * R
+    stream = Stream(box, R, flow)
+    assert validate_stream(box, CapacityField.constant(box, 2 * R), stream) == []
+    assert decompose_paths(box, stream, 1) == [((1, 0), (1, 1), (2, 1), (2, 2), (2, 3))]
+
+
 def test_decompose_unit_column():
     box = BoxSpec((1,), 3)
     ids = edge_ids(box)

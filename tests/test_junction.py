@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_junction import boundary_condition, boundary_count_bound, truncated_projection
-from reference_lattice import edge_ids, sorted_edges_in_box
+from reference_lattice import classify_edge, edge_ids, sorted_edges_in_box
 
 from latticeflow.capacity import (
     DEFAULT_RESOLUTION,
@@ -31,7 +31,7 @@ from latticeflow.junction import (
     translate_field,
     translate_stream,
 )
-from latticeflow.lattice import VERTICAL, BoxSpec, Edge, classify_edge, edges_in_box
+from latticeflow.lattice import VERTICAL, BoxSpec, Edge, edges_in_box
 
 R = DEFAULT_RESOLUTION
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_lattice import (
+    classify_edge,
     contains,
     edge_ids,
     face_vertices,
@@ -14,12 +15,10 @@ from reference_lattice import (
 
 from latticeflow.cuts import uncuttable_edge_ids
 from latticeflow.lattice import (
-    HORIZONTAL,
     VERTICAL,
     BoxSpec,
     Edge,
     RectSpec,
-    classify_edge,
     edge_ends,
     edge_index,
     edge_map,
@@ -69,12 +68,6 @@ def test_edge_canonicalises_and_validates():
         Edge((0, 0), (0, 0))
     with pytest.raises(ValueError):
         Edge((0, 0), (0, 2))
-
-
-def test_classify_edge():
-    assert classify_edge(Edge((1, 0), (1, 1))) == VERTICAL
-    assert classify_edge(Edge((1, 1), (2, 1))) == HORIZONTAL
-    assert classify_edge(Edge((2, 3, 5), (2, 3, 6))) == VERTICAL
 
 
 def test_edges_narrow_column():

@@ -301,7 +301,7 @@ def _peak_rss() -> dict:
     return {"peak_rss_mb": round(peak / unit, 2), "peak_rss_source": source}
 
 
-def _run_sample(config, workers):
+def _run_sample(config):
     dist, d, r = _law(config)
     box = _box(d, config["n"], config["height"])
     field = sample_field(box, dist, r, config["seed"])
@@ -312,7 +312,7 @@ def _run_sample(config, workers):
     return ["edge_id", "endpoint_a", "endpoint_b", "kind", "cap_units", "cap"], rows
 
 
-def _run_flow(config, workers):
+def _run_flow(config):
     dist, d, r = _law(config)
     box = _box(d, config["n"], config["height"])
     field = sample_field(box, dist, r, config["seed"])
@@ -331,7 +331,7 @@ def _run_flow(config, workers):
     ], rows
 
 
-def _run_tau(config, workers):
+def _run_tau(config):
     dist, d, r = _law(config)
     n, k = config["n"], config["k_slab"]
     field = sample_field(_box(d, n, k_slab=k), dist, r, config["seed"])
@@ -340,12 +340,13 @@ def _run_tau(config, workers):
     return ["d", "n", "k_slab", "seed", "resolution", "value_units", "value", "cut_size"], rows
 
 
-def _run_nu(config, workers):
+def _run_nu(config):
     dist, d, r = _law(config)
     # a slab of half-height k is 2k high; every slab is checked before any run
     slabs = [(n, _box(d, n, k_slab=config["k_slab"]).height // 2) for n in config["n_list"]]
     estimates = estimate_nu_sweep(
-        dist, slabs, config["replications"], config["seed"], d=d, resolution=r, workers=workers,
+        dist, slabs, config["replications"], config["seed"],
+        d=d, resolution=r, workers=config.get("workers", 1),
     )
     rows = [[
         d, e.n, e.k_slab, e.replications, e.seed, r,
@@ -357,7 +358,7 @@ def _run_nu(config, workers):
     ], rows, {"value_solver": value_solver(d)}
 
 
-def _run_psi(config, workers):
+def _run_psi(config):
     dist, d, r = _law(config)
     n = config["n"]
     h = _box(d, n, config["height"]).height
@@ -366,7 +367,7 @@ def _run_psi(config, workers):
     tally = Counter()
     estimates = estimate_psi_sweep(
         dist, lams, n, h, k_disc, config["samples"], config["seed"],
-        d=d, resolution=r, workers=workers, tally=tally,
+        d=d, resolution=r, workers=config.get("workers", 1), tally=tally,
     )
     rows = [[
         _dec(e.lam), str(e.lam), d, n, h, k_disc, e.samples, e.hits,
@@ -380,7 +381,7 @@ def _run_psi(config, workers):
     ], rows, {"value_solver": value_solver(d), "solver_counts": tally}
 
 
-def _run_oracle(config, workers):
+def _run_oracle(config):
     dist, d, r = _law(config)
     if not dist.is_finite:
         raise ConfigError("oracle needs a finite law: bernoulli or finite_discrete")
@@ -400,7 +401,7 @@ def _run_oracle(config, workers):
     ], rows, {"value_solver": value_solver(d), "solver_counts": dict(tally)}
 
 
-def _run_verify(config, workers):
+def _run_verify(config):
     results = run_all(config["seed"], config.get("scale", 1.0))
     rows = [[r.name, r.trials, r.violations, "pass" if r.passed else "FAIL"] for r in results]
     return ["property", "trials", "violations", "status"], rows
@@ -415,7 +416,7 @@ def _csv_rows(fh) -> list[list[str]]:
         csv.field_size_limit(limit)
 
 
-def _run_report(config, workers):
+def _run_report(config):
     header, rows = None, []
     for path in config["inputs"]:
         table = _read(path, _csv_rows)
@@ -441,7 +442,7 @@ _RUNNERS = {
 }
 
 
-def _write_outputs(command: str, config: dict, workers: int, header, rows, meta: dict) -> None:
+def _write_outputs(command: str, config: dict, header, rows, meta: dict) -> None:
     out = Path(config.get("out", f"{command}.csv"))
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -453,7 +454,7 @@ def _write_outputs(command: str, config: dict, workers: int, header, rows, meta:
         "command": command,
         "config": config,
         "seed": config.get("seed"),
-        "workers": workers,
+        "workers": config.get("workers", 1),
         **meta,
     }
     with open(str(out) + ".meta.json", "w", encoding="utf-8") as fh:
@@ -514,9 +515,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        workers = config.get("workers", 1)
-        header, rows, *meta = _RUNNERS[args.command](config, workers)
-        _write_outputs(args.command, config, workers, header, rows, dict(*meta, **_peak_rss()))
+        header, rows, *meta = _RUNNERS[args.command](config)
+        _write_outputs(args.command, config, header, rows, dict(*meta, **_peak_rss()))
     except tuple(_FAILURES) as err:
         code, prefix = next(_FAILURES[kind] for kind in _FAILURES if isinstance(err, kind))
         print(f"latticeflow: {prefix}: {err}", file=sys.stderr)

@@ -53,8 +53,6 @@ class SubadditivityReport:
     tau_union: int
     tau_left: int
     tau_right: int
-    left_cut: CutSet
-    right_cut: CutSet
     glued_cut: CutSet
 
     @property
@@ -97,7 +95,7 @@ def check_subadditivity(
         glued.update(edge_map(rect.slab_box(half_height), field.box)[list(cut.edge_ids)].tolist())
     glued_cut = CutSet(frozenset(glued), tau_l + tau_r)
 
-    report = SubadditivityReport(tau_u, tau_l, tau_r, cut_l, cut_r, glued_cut)
+    report = SubadditivityReport(tau_u, tau_l, tau_r, glued_cut)
     if not report.holds:
         raise RuntimeError(f"subadditivity violated: {tau_u} > {tau_l} + {tau_r} (solver defect)")
     return report

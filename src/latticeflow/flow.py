@@ -232,16 +232,21 @@ def _bk_flow(nbrs: tuple, cap: list[int], limit=math.inf) -> int:
     A source and a sink tree grow until an arc joins them, and persist
     across augmentations (Boykov & Kolmogorov 2004): a node whose tree arc
     saturates adopts a neighbour still rooted at its terminal, or leaves.
+    Each terminal scans its arcs once, resuming at its last join. The arcs it
+    passed stay useless: a terminal is active only at the start (an orphan with
+    a residual arc from it re-adopts it), and its residual arcs only shrink.
     """
     tree = [1, -1] + [0] * (len(nbrs) - 2)  # the source's tree, the sink's, or none
     # parent node (-1 at a terminal, -2 at an orphan); tree arc, directed source to sink
     parent, up = [-1] * len(nbrs), [-1] * len(nbrs)
+    resume = [0, 0]  # the arc index where the source's and the sink's next scan starts
     active, value = deque([_SOURCE, _SINK]), 0
     while active:
         p = active[0]
         t = tree[p]
         flip = t < 0
-        for a, q in nbrs[p] if t else ():
+        arcs = nbrs[p] if t else ()
+        for a, q in map(arcs.__getitem__, range(resume[p], len(arcs))) if p <= _SINK else arcs:
             tq = tree[q]
             if tq != t and cap[a ^ flip]:  # a residual arc leaving the tree
                 if tq:
@@ -251,6 +256,8 @@ def _bk_flow(nbrs: tuple, cap: list[int], limit=math.inf) -> int:
         else:
             active.popleft()
             continue
+        if p <= _SINK:
+            resume[p] = arcs.index((a, q), resume[p])
         path, push = [(-1, a ^ flip)], cap[a ^ flip]  # (child, tree arc), the joining arc first
         for v in (p, q):
             while parent[v] >= 0:

@@ -43,19 +43,6 @@ HORIZONTAL = "horizontal"
 GEOMETRY_CACHE_SIZE = 512
 
 
-def _unit_axis(a: Point, b: Point) -> int:
-    """Axis in which two nearest neighbours differ; raise if not adjacent."""
-    axis = -1
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            if axis >= 0 or abs(x - y) != 1:
-                raise ValueError(f"not nearest neighbours: {a}, {b}")
-            axis = i
-    if axis < 0:
-        raise ValueError(f"not nearest neighbours: {a}, {b}")
-    return axis
-
-
 @dataclass(frozen=True)
 class Edge:
     """Unordered nearest-neighbour edge, endpoints kept in lexicographic order."""
@@ -69,13 +56,11 @@ class Edge:
             raise ValueError("endpoint dimensions differ")
         if a > b:
             a, b = b, a
-        _unit_axis(a, b)
+        steps = [y - x for x, y in zip(a, b) if x != y]
+        if steps != [1]:
+            raise ValueError(f"not nearest neighbours: {a}, {b}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def axis(self) -> int:
-        return _unit_axis(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -130,13 +115,9 @@ class BoxSpec:
         area = self.base_area
         return self.height * (area + sum(area // k * (k - 1) for k in self.dims))
 
-    def base_range(self, axis: int) -> range:
-        lo = self.offset[axis]
-        return range(lo + 1, lo + self.dims[axis] + 1)
-
     def base_points(self):
         """Base lattice points in lexicographic order."""
-        return itertools.product(*(self.base_range(i) for i in range(len(self.dims))))
+        return itertools.product(*(range(o + 1, o + k + 1) for o, k in zip(self.offset, self.dims)))
 
     def translate(self, delta: tuple[int, ...]) -> "BoxSpec":
         if len(delta) != self.d:

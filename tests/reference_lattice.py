@@ -21,8 +21,8 @@ def sorted_edges_in_box(box: BoxSpec) -> tuple[Edge, ...]:
             edges.append(Edge(base + (z,), base + (z + 1,)))
     for axis in range(len(box.dims)):
         for base in box.base_points():
-            if base[axis] + 1 in box.base_range(axis):
-                nb = base[:axis] + (base[axis] + 1,) + base[axis + 1 :]
+            nb = base[:axis] + (base[axis] + 1,) + base[axis + 1 :]
+            if nb[axis] <= box.offset[axis] + box.dims[axis]:
                 for z in range(box.z_lo + 1, box.z_hi + 1):
                     edges.append(Edge(base + (z,), nb + (z,)))
     edges.sort(key=lambda e: (e.a, e.b))
@@ -31,7 +31,7 @@ def sorted_edges_in_box(box: BoxSpec) -> tuple[Edge, ...]:
 
 def classify_edge(e: Edge) -> str:
     """An edge is vertical when it varies in the last coordinate."""
-    return VERTICAL if e.axis == len(e.a) - 1 else HORIZONTAL
+    return VERTICAL if e.a[-1] != e.b[-1] else HORIZONTAL
 
 
 def edge_ids(box: BoxSpec) -> dict[Edge, int]:

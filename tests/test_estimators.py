@@ -342,6 +342,38 @@ def test_exact_tail_closed_form():
         assert exact_tail_probability(dist, box, 1) == Fraction(p) ** 4
 
 
+# (law, d=2 base, heights, lams) of the slab ladder check
+LADDER_CASES = [
+    (DistributionSpec.bernoulli("0.5", 0, 1), 2, (2, 3, 4), ("1/2", "3/4", "1")),
+    (BERN09, 2, (2, 3, 4), ("1/2", "3/4", "1")),
+    (DistributionSpec.finite_discrete([(0, "1/4"), (1, "1/2"), (2, "1/4")]), 2, (2, 3),
+     ("1/2", "3/4", "1")),
+    (DistributionSpec.bernoulli("0.5", 0, 1), 3, (2, 3), ("2/3",)),
+]
+
+
+def test_exact_tail_descends_the_slab_ladder():
+    """The paper's slab argument: contracting the levels z = k, 2k, ... of a
+    height-h box can only raise its flow and leaves h/k independent
+    height-k slabs in series, so P_h <= P_k^(h/k) exactly for every k | h,
+    where P_h is the exact tail probability at height h.
+
+    This cannot kill a capped solve that returns its cap: that makes the flow
+    the lightest layer's, whose tail is exactly P_1^h, which meets the
+    ladder with equality. Other tests kill that mutant."""
+    pairs = 0
+    for law, base, heights, lams in LADDER_CASES:
+        for lam in map(Fraction, lams):
+            tail = {h: exact_tail_probability(law, BoxSpec((base,), h), lam)
+                    for h in range(1, max(heights) + 1)}
+            for h in heights:
+                for k in range(1, h):
+                    if h % k == 0:
+                        assert tail[h] <= tail[k] ** (h // k), (law, base, lam, h, k)
+                        pairs += 1
+    assert pairs == 32
+
+
 def test_exact_tail_above_sup_is_zero():
     assert exact_tail_probability(BERN09, BoxSpec((2,), 2), Fraction(3, 2)) == 0
 

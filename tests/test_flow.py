@@ -643,6 +643,28 @@ def test_search_trees_match_reference(d, sides, h, law, seed, k_disc, zero_share
         assert max_flow(box, field).min_cut == cut
 
 
+FLAT_BOXES = [
+    BoxSpec((1,), 1), BoxSpec((3,), 1), BoxSpec((40,), 1), BoxSpec((2, 2), 1), BoxSpec((6, 6), 1),
+    BoxSpec((30,), 2), BoxSpec((5, 5), 2),
+]
+
+
+@pytest.mark.parametrize("box", FLAT_BOXES, ids=lambda box: f"{box.dims}x{box.height}")
+@pytest.mark.parametrize("law", [LAWS[3], LAWS[1]], ids=["uniform", "bernoulli0.1"])
+def test_search_trees_on_flat_boxes(box, law):
+    """On a flat box most arcs meet a terminal, and a terminal resumes its
+    scan at its last join. At height 1 the source and the sink share all
+    their arcs; at height 2 the sink joins through the source's children.
+    ``_bk_flow`` capped or not and ``min_cut`` match the reference."""
+    nbrs, arc_edge = flow._contracted(box.dims, box.height, frozenset())
+    for seed in range(4):
+        field = sample_field(box, law, R, seed)
+        v, cut = solve_min_cut(box, field)
+        for limit in (math.inf, 0, max(v - 1, 0), v, v + 1):
+            assert flow._bk_flow(nbrs, field.caps[arc_edge].tolist(), limit) == min(v, limit)
+        assert min_cut(box, field) == cut
+
+
 BOUNDED_CACHES = {
     "lattice.edge_ends": lattice.edge_ends,
     "lattice.edge_map": lattice.edge_map,

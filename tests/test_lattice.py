@@ -61,13 +61,15 @@ def scan_all_edges(box):
 
 def test_edge_canonicalises_and_validates():
     e = Edge((1, 1), (1, 0))
-    assert e.a == (1, 0) and e.b == (1, 1) and e.axis == 1
-    with pytest.raises(ValueError):
+    assert e.a == (1, 0) and e.b == (1, 1)
+    with pytest.raises(ValueError, match="not nearest neighbours"):
         Edge((0, 0), (1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not nearest neighbours"):
         Edge((0, 0), (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not nearest neighbours"):
         Edge((0, 0), (0, 2))
+    with pytest.raises(ValueError, match="endpoint dimensions differ"):
+        Edge((0, 0), (0, 0, 1))
 
 
 def test_edges_narrow_column():

@@ -40,7 +40,6 @@ from .estimators import (
 )
 from .flow import CapacityOverflowError, min_cut, value_solver
 from .lattice import HORIZONTAL, VERTICAL, BoxSpec, RectSpec, edge_ends, vertex_points
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -402,6 +401,8 @@ def _run_oracle(config):
 
 
 def _run_verify(config):
+    from .verify import run_all  # only this command loads verify and junction
+
     results = run_all(config["seed"], config.get("scale", 1.0))
     rows = [[r.name, r.trials, r.violations, "pass" if r.passed else "FAIL"] for r in results]
     return ["property", "trials", "violations", "status"], rows

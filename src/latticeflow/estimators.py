@@ -48,7 +48,10 @@ def _map_indices(jobs, workers: int) -> list[list]:
     blocks of range(count), in block order. A block holds at most
     _BLOCK_ELEMENTS // width replicas, and a job has at least workers * 8
     blocks when count allows, so the workers stay balanced. All jobs share
-    one fork-join map (``_fork_map``)."""
+    one fork-join map (``_fork_map``). ``workers`` is capped at the CPUs
+    this process may use."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, cpus)
     blocks = []  # (job, fn, replica range) of each block
     for job, (fn, count, width) in enumerate(jobs):
         rows = max(1, min(_BLOCK_ELEMENTS // width, -(-count // (workers * 8))))

@@ -37,6 +37,8 @@ from reference_flow import solve_min_cut
 
 R = DEFAULT_RESOLUTION
 BERN09 = DistributionSpec.bernoulli("0.9", 0, 1)
+# the CPUs this process may use, at which the replica map caps its workers
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def exact_mean_tau(dist, n, k_slab, d=2, resolution=R):
@@ -218,9 +220,27 @@ def test_pool_is_no_larger_than_the_block_count(monkeypatch):
     assert sizes == []
     pooled = estimate_psi_sweep(dist, [0.3, 0.5], 2, 2, R, 3, seed=38, workers=64)
     nu_pooled = estimate_nu(dist, 2, 1, 3, seed=38, workers=64)
-    assert sizes == [3, 3]  # one replica per block, three blocks
+    # one replica per block, three blocks; one CPU runs them in the parent
+    assert sizes == ([min(3, CPUS)] * 2 if CPUS > 1 else [])
     assert [e.hits for e in pooled] == [e.hits for e in serial]
     assert (nu_pooled.mean, nu_pooled.stderr) == (nu_serial.mean, nu_serial.stderr)
+
+
+def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
+    """A million requested workers fork no more children than this process
+    has CPUs. The stub map forks nothing: it records the pool size and runs
+    the calls in the parent."""
+    sizes = []
+
+    def in_process_map(calls, processes):
+        sizes.append(processes)
+        return [call() for call in calls]
+
+    serial = estimate_psi_sweep(BERN09, [0.5, 1.0], 2, 2, R, 300, seed=39)
+    monkeypatch.setattr(estimators, "_fork_map", in_process_map)
+    capped = estimate_psi_sweep(BERN09, [0.5, 1.0], 2, 2, R, 300, seed=39, workers=10**6)
+    assert sizes == ([CPUS] if CPUS > 1 else [])  # the uncapped map asked for 300
+    assert [e.hits for e in capped] == [e.hits for e in serial]
 
 
 def _assert_no_child_left():

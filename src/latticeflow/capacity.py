@@ -131,14 +131,14 @@ class DistributionSpec:
 
     @classmethod
     def exponential(cls, rate: float) -> "DistributionSpec":
-        if not rate > 0:
-            raise ValueError("rate must be positive")
+        if isinstance(rate, bool) or not 0 < rate < math.inf:
+            raise ValueError("rate must be positive and finite")
         return cls(EXPONENTIAL, rate=float(rate))
 
     @classmethod
     def half_normal(cls, sigma: float) -> "DistributionSpec":
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
+        if isinstance(sigma, bool) or not 0 < sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         return cls(HALF_NORMAL, sigma=float(sigma))
 
     @property

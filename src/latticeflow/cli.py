@@ -37,6 +37,7 @@ from .estimators import (
     estimate_nu_sweep,
     estimate_psi_sweep,
     exact_tail_probability,
+    usable_cpus,
 )
 from .flow import CapacityOverflowError, min_cut, value_solver
 from .lattice import HORIZONTAL, VERTICAL, BoxSpec, RectSpec, edge_ends, vertex_points
@@ -57,26 +58,22 @@ class ConfigError(ValueError):
 _NUMBER = {"type": ["number", "string"]}
 _POSITIVE = {"type": "integer", "minimum": 1}
 
-# kind: (constructor, n, its parameters as JSON fields with schema types; the first n are required)
+# kind: (constructor, its parameters as JSON fields with schema types); the
+# constructor's signature says which are required
 _LAWS = {
-    "bernoulli": (DistributionSpec.bernoulli, 1, {"p": _NUMBER, "lo": _NUMBER, "hi": _NUMBER}),
-    "finite_discrete": (DistributionSpec.finite_discrete, 1, {
+    "bernoulli": (DistributionSpec.bernoulli, {"p": _NUMBER, "lo": _NUMBER, "hi": _NUMBER}),
+    "finite_discrete": (DistributionSpec.finite_discrete, {
         "atoms": {"type": "array", "items": {"type": "array", "minItems": 2, "maxItems": 2}}}),
-    "uniform": (DistributionSpec.uniform, 2, {"a": _NUMBER, "b": _NUMBER}),
-    "exponential": (DistributionSpec.exponential, 1, {"rate": {"type": "number"}}),
-    "half_normal": (DistributionSpec.half_normal, 1, {"sigma": {"type": "number"}}),
+    "uniform": (DistributionSpec.uniform, {"a": _NUMBER, "b": _NUMBER}),
+    "exponential": (DistributionSpec.exponential, {"rate": {"type": "number"}}),
+    "half_normal": (DistributionSpec.half_normal, {"sigma": {"type": "number"}}),
 }
 
 _DISTRIBUTION_SCHEMA = {
     "type": "object",
     "required": ["kind"],
-    "allOf": [
-        {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
-         "then": {"required": list(fields)[:n]}}
-        for kind, (_, n, fields) in _LAWS.items()
-    ],
     "properties": {"kind": {"enum": list(_LAWS)}}
-    | {key: rule for _, _, fields in _LAWS.values() for key, rule in fields.items()},
+    | {key: rule for _, fields in _LAWS.values() for key, rule in fields.items()},
 }
 
 _HEIGHT_SCHEMA = {
@@ -147,10 +144,8 @@ _TYPES = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "number": lambda v: _TYPES["integer"](v) or isinstance(v, float) and math.isfinite(v),
 }
-_KEYWORDS = {
-    "type", "required", "properties", "minimum", "exclusiveMinimum", "maximum",
-    "enum", "const", "oneOf", "allOf", "if", "then", "items", "minItems", "maxItems",
-}
+_KEYWORDS = {"type", "required", "properties", "minimum", "exclusiveMinimum", "maximum",
+             "enum", "const", "oneOf", "items", "minItems", "maxItems"}
 
 
 def _check_schema(schema: dict) -> None:
@@ -158,8 +153,8 @@ def _check_schema(schema: dict) -> None:
     types = schema.get("type", [])
     if set(schema) - _KEYWORDS or not set([types] if isinstance(types, str) else types) <= set(_TYPES):
         raise ValueError(f"unsupported schema keywords or types in {schema}")
-    nested = [*schema.get("properties", {}).values(), *schema.get("oneOf", ()), *schema.get("allOf", ())]
-    for sub in nested + [schema[k] for k in ("if", "then", "items") if k in schema]:
+    nested = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    for sub in nested + ([schema["items"]] if "items" in schema else []):
         _check_schema(sub)
 
 
@@ -194,14 +189,10 @@ def _errors(schema: dict, value, path: str = "config"):
             yield f"{path} has {len(value)} items, too few or too many"
         for i, item in enumerate(value):
             yield from _errors(schema.get("items", {}), item, f"{path}[{i}]")
-    for sub in schema.get("allOf", ()):
-        yield from _errors(sub, value, path)
     if "oneOf" in schema:
         matches = sum(not any(_errors(sub, value, path)) for sub in schema["oneOf"])
         if matches != 1:
             yield f"{path} matches {matches} of its {len(schema['oneOf'])} alternatives, not one"
-    if "if" in schema and not any(_errors(schema["if"], value, path)):
-        yield from _errors(schema.get("then", {}), value, path)
 
 
 for _schema in SCHEMAS.values():
@@ -247,7 +238,7 @@ def _lam(value) -> Fraction:
 
 def _law(config) -> tuple[DistributionSpec, int, int]:
     """The capacity law, the dimension d and the resolution R of a run."""
-    make, _, fields = _LAWS[config["distribution"]["kind"]]
+    make, fields = _LAWS[config["distribution"]["kind"]]
     dist = _parse(lambda law: make(**{k: law[k] for k in fields if k in law}), config["distribution"])
     r = config.get("resolution", DEFAULT_RESOLUTION)
     if not is_power_of_two(r):
@@ -354,7 +345,8 @@ def _run_nu(config):
     return [
         "d", "n", "k_slab", "replications", "seed", "resolution",
         "mean_num", "mean_den", "mean", "stderr",
-    ], rows, {"value_solver": value_solver(d)}
+    ], rows, {"value_solver": value_solver(d),
+              "processes": min(config.get("workers", 1), usable_cpus())}
 
 
 def _run_psi(config):
@@ -377,7 +369,8 @@ def _run_psi(config):
     return [
         "lam", "lam_exact", "d", "n", "h", "k_disc", "samples", "hits",
         "hit_rate", "psi_hat", "psi_ci_lo", "psi_ci_hi", "infinite_flag", "seed",
-    ], rows, {"value_solver": value_solver(d), "solver_counts": tally}
+    ], rows, {"value_solver": value_solver(d), "solver_counts": tally,
+              "processes": min(config.get("workers", 1), usable_cpus())}
 
 
 def _run_oracle(config):

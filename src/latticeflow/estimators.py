@@ -43,6 +43,11 @@ class EnumerationBudgetError(RuntimeError):
 _BLOCK_ELEMENTS = 2**14
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _map_indices(jobs, workers: int) -> list[list]:
     """Per (fn, count, width) job, ``fn(block)`` over consecutive index
     blocks of range(count), in block order. A block holds at most
@@ -50,8 +55,7 @@ def _map_indices(jobs, workers: int) -> list[list]:
     blocks when count allows, so the workers stay balanced. All jobs share
     one fork-join map (``_fork_map``). ``workers`` is capped at the CPUs
     this process may use."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, cpus)
+    workers = min(workers, usable_cpus())
     blocks = []  # (job, fn, replica range) of each block
     for job, (fn, count, width) in enumerate(jobs):
         rows = max(1, min(_BLOCK_ELEMENTS // width, -(-count // (workers * 8))))

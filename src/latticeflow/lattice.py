@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -78,15 +79,15 @@ class BoxSpec:
     offset: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        dims = tuple(int(k) for k in self.dims)
+        dims = tuple(map(operator.index, self.dims))
         if len(dims) < 1:
             raise ValueError("need at least one base dimension (d >= 2)")
         if any(k < 1 for k in dims):
             raise ValueError("all base side lengths must be >= 1")
-        height = int(self.height)
+        height = operator.index(self.height)
         if height < 1:
             raise ValueError("height must be >= 1")
-        offset = tuple(int(o) for o in self.offset) if self.offset else (0,) * (len(dims) + 1)
+        offset = tuple(map(operator.index, self.offset)) if self.offset else (0,) * (len(dims) + 1)
         if len(offset) != len(dims) + 1:
             raise ValueError("offset must have one entry per coordinate")
         object.__setattr__(self, "dims", dims)
@@ -221,8 +222,8 @@ class RectSpec:
     hi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        lo = tuple(int(x) for x in self.lo)
-        hi = tuple(int(x) for x in self.hi)
+        lo = tuple(map(operator.index, self.lo))
+        hi = tuple(map(operator.index, self.hi))
         if len(lo) != len(hi) or not lo:
             raise ValueError("bounds must be non-empty and of equal length")
         if any(a >= b for a, b in zip(lo, hi)):

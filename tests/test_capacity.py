@@ -63,6 +63,27 @@ def test_distribution_validation():
         DistributionSpec.bernoulli("0.5", lo=-1)
 
 
+@pytest.mark.parametrize("make", [DistributionSpec.exponential, DistributionSpec.half_normal])
+@pytest.mark.parametrize("value", [math.inf, math.nan, True])
+def test_rate_and_sigma_must_be_positive_finite_numbers(make, value):
+    """An infinite rate would sample every capacity as 0, an infinite sigma
+    overflows only at sampling, and True would read as 1.0."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        make(value)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: DistributionSpec.finite_discrete([]), ValueError, "at least one atom", id="no-atoms"),
+    pytest.param(lambda: DistributionSpec.finite_discrete([("-1", "1")]), ValueError, "non-negative",
+                 id="negative-atom"),
+    pytest.param(lambda: unit_count(Fraction(-1, 2), 8), ValueError, "non-negative", id="negative-units"),
+    pytest.param(lambda: as_fraction(None), TypeError, "cannot interpret", id="fraction-of-none"),
+])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
 def test_degenerate_bernoulli_saturates():
     box = BoxSpec((3,), 2)
     field = sample_field(box, DistributionSpec.bernoulli(1, 0, 1), R, seed=5)

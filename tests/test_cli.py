@@ -15,7 +15,7 @@ from jsonschema import Draft202012Validator
 from reference_capacity import edge_uniforms
 
 import latticeflow
-from latticeflow import capacity, estimators
+from latticeflow import capacity, cli, estimators
 from latticeflow.capacity import DistributionSpec
 from latticeflow.cli import (
     EXIT_BUDGET,
@@ -152,6 +152,18 @@ def test_verify_command(tmp_path):
     assert run(["verify", "--config", cfg, "--out", out]) == EXIT_OK
     rows = out.read_text().splitlines()[1:]
     assert rows and all(row.endswith(",pass") for row in rows)
+
+
+def test_failed_property_exits_1_after_writing_the_csv(tmp_path, monkeypatch, capsys):
+    from latticeflow import verify
+
+    monkeypatch.setattr(verify, "check_menger", lambda seed, trials: verify.PropertyResult("menger", trials, 1))
+    cfg = write_config(tmp_path, "c.json", {"seed": 8, "scale": 0.0001})
+    out = tmp_path / "verify.csv"
+    assert run(["verify", "--config", cfg, "--out", out]) == EXIT_ERROR
+    rows = list(csv.reader(out.open()))[1:]
+    assert [row for row in rows if row[3] != "pass"] == [["menger", "1", "1", "FAIL"]]
+    assert capsys.readouterr().err.splitlines() == ["latticeflow: property menger failed"]
 
 
 def test_report_merges_csvs(tmp_path):
@@ -451,6 +463,14 @@ def test_distribution_missing_fields_is_config_error(tmp_path):
         assert run(["flow", "--config", cfg, "--out", tmp_path / "f.csv"]) == EXIT_CONFIG
 
 
+def test_missing_law_field_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json",
+                       {"seed": 1, "distribution": {"kind": "uniform", "a": "0"}, "n": 2, "height": 2})
+    assert run(["flow", "--config", cfg, "--out", tmp_path / "f.csv"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("latticeflow: config error: ") and "missing 1 required positional argument: 'b'" in err
+
+
 def test_malformed_fraction_is_config_error(tmp_path):
     bad_p = write_config(
         tmp_path, "p.json",
@@ -746,6 +766,25 @@ def test_sidecar_counts_bound_decisions(tmp_path):
     one, two = (json.loads((tmp_path / f"{name}.csv.meta.json").read_text()) for name in ("psi", "psi2"))
     assert two["solver_counts"] == one["solver_counts"]
     assert out.read_bytes() == (tmp_path / "psi.csv").read_bytes()
+
+
+def test_sidecar_records_the_processes_a_run_may_fork(tmp_path, monkeypatch):
+    """At 3 requested workers on 2 usable CPUs, psi forks at most 2 children;
+    ``workers`` keeps the request, and the CSV equals the 1-worker run's."""
+    monkeypatch.setattr(estimators, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, "c.json", {"seed": 3, "distribution": BERN, "n": 2, "height": 2,
+                                            "lambdas": ["0.5", "1"], "samples": 40})
+    for w in (1, 3):
+        assert run(["psi", "--config", cfg, "--workers", w, "--out", tmp_path / f"w{w}.csv"]) == EXIT_OK
+    one, three = (json.loads((tmp_path / f"w{w}.csv.meta.json").read_text()) for w in (1, 3))
+    assert (one["processes"], one["workers"]) == (1, 1)
+    assert (three["processes"], three["workers"], three["config"]["workers"]) == (2, 3, 3)
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
+    nu = write_config(tmp_path, "nu.json", {"seed": 3, "distribution": {"kind": "exponential", "rate": 1.0},
+                                            "n_list": [2], "k_slab": 1, "replications": 2})
+    assert run(["nu", "--config", nu, "--out", tmp_path / "nu.csv"]) == EXIT_OK
+    assert json.loads((tmp_path / "nu.csv.meta.json").read_text())["processes"] == 1
 
 
 UNIFORM = {"kind": "uniform", "a": 0, "b": 1}

@@ -233,6 +233,15 @@ def test_subadditivity_rejects_incompatible_bases():
         check_subadditivity(RectSpec((0,), (1,)), RectSpec((1,), (3,)), 2, field)
 
 
+@pytest.mark.parametrize("left, right, fragment", [
+    (RectSpec((0,), (1,)), RectSpec((0, 0), (1, 1)), "different dimensions"),
+    (RectSpec((0, 0), (1, 1)), RectSpec((1, 1), (2, 2)), "all axes but one"),
+])
+def test_incompatible_bases_are_refused(left, right, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        cuts._check_compatible(left, right)
+
+
 def test_union_of_bases_in_either_order():
     left, right = RectSpec((0, 0), (2, 3)), RectSpec((0, 3), (2, 5))
     union = RectSpec((0, 0), (2, 5))

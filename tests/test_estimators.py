@@ -205,6 +205,19 @@ def test_psi_rejects_bad_discretisation_level(k_disc):
         estimate_psi_sweep(BERN09, [0.5], 2, 2, k_disc, 5, seed=37)
 
 
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: estimators.estimate_nu_sweep(BERN09, [(2, 1)], 0, 1), "replications must be",
+                 id="nu-no-replications"),
+    pytest.param(lambda: estimate_psi_sweep(BERN09, [0.5], 2, 2, R, 0, 1), "samples and h", id="psi-no-samples"),
+    pytest.param(lambda: estimate_psi_sweep(BERN09, [-0.5], 2, 2, R, 5, 1), "lam must be non-negative",
+                 id="psi-negative-lam"),
+    pytest.param(lambda: psi_curve_diagnostics([], 0), "empty estimate list", id="diagnostics-empty"),
+])
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 def test_pool_is_no_larger_than_the_block_count(monkeypatch):
     sizes = []
     fork_map = estimators._fork_map

@@ -358,6 +358,26 @@ def test_decompose_rejects_non_discrete():
         decompose_paths(box, stream, 2)
 
 
+BOX2 = BoxSpec((2,), 2)
+COLUMN = BoxSpec((1,), 1)  # one vertical edge
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: Stream(BOX2, R, np.zeros(3, dtype=np.int64)), "one entry per box edge",
+                 id="stream-flow-length"),
+    pytest.param(lambda: validate_stream(BOX2, CapacityField.constant(BOX2.translate((1, 0)), R),
+                                         max_flow(BOX2, CapacityField.constant(BOX2, R)).stream),
+                 "shapes must match", id="validate-other-box"),
+    pytest.param(lambda: decompose_paths(COLUMN, Stream(COLUMN, R, np.array([R])), 3), "must divide",
+                 id="decompose-k-not-dividing"),
+    pytest.param(lambda: decompose_paths(COLUMN, Stream(COLUMN, R, np.array([-R])), 1), "negative flow",
+                 id="decompose-negative-flow"),
+])
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 def test_menger_trivial():
     box = BoxSpec((3,), 2)
     assert menger_count(box, CapacityField.constant(box, R)) == 3

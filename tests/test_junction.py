@@ -270,6 +270,38 @@ def test_join_validates_levels_and_stacking():
         join_streams(s1, not_stacked, Fraction(1, 2), 2, 2)
 
 
+BOX = BoxSpec((2,), 2)
+ABOVE = BOX.translate((0, 2))
+
+
+def zero_stream(box, resolution=R, level=2):
+    return DiscreteStream(box, resolution, np.zeros(box.edge_count, dtype=np.int64), level)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: zero_stream(BOX, resolution=4, level=8), ValueError, "level must be",
+                 id="level-above-resolution"),
+    pytest.param(lambda: merge_stacked_fields(CapacityField.constant(BOX, 0),
+                                              CapacityField.constant(ABOVE, 0, resolution=4)),
+                 ValueError, "resolutions differ", id="merge-resolutions"),
+    pytest.param(lambda: merge_stacked_fields(CapacityField.constant(BOX, 0),
+                                              CapacityField.constant(BoxSpec((3,), 2, (0, 2)), 0)),
+                 ValueError, "same base", id="stacked-other-base"),
+    pytest.param(lambda: merge_stacked_fields(CapacityField.constant(BOX, 0),
+                                              CapacityField.constant(BoxSpec((2,), 3, (0, 2)), 0)),
+                 ValueError, "equal heights", id="stacked-unequal-heights"),
+    pytest.param(lambda: join_streams(column_stream(BOX, (R, R), level=2), zero_stream(ABOVE, R // 2),
+                                      Fraction(1, 2), 2, 2),
+                 ValueError, "resolutions differ", id="join-resolutions"),
+    pytest.param(lambda: join_streams(column_stream(BOX, (R, R), level=2), zero_stream(ABOVE),
+                                      Fraction(1, 2), 2, 2),
+                 JunctionHypothesisError, "flow_shortfall: upper stream", id="join-upper-short"),
+])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
 BOXES = st.integers(2, 4).flatmap(
     lambda d: st.builds(
         BoxSpec,

@@ -313,3 +313,28 @@ def test_box_validation():
         BoxSpec((2,), 0)
     with pytest.raises(ValueError):
         BoxSpec((2,), 1, offset=(0,))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: RectSpec((0,), (1, 2)), "equal length", id="rect-unequal-bounds"),
+    pytest.param(lambda: RectSpec((), ()), "non-empty", id="rect-empty-bounds"),
+    pytest.param(lambda: BoxSpec((2,), 2).translate((1,)), "wrong length", id="translate-short-vector"),
+])
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+def test_sizes_must_be_exact_integers():
+    """A float or a string size is refused, not truncated; numpy integers are
+    read as the Python ints they hold."""
+    for call in (lambda: BoxSpec((2.7,), 3), lambda: BoxSpec((2,), "3"), lambda: BoxSpec((2,), 3.0),
+                 lambda: BoxSpec((2,), 2, (0.5, 0)), lambda: RectSpec((0.5,), (3,)),
+                 lambda: RectSpec((0,), (3.9,)), lambda: RectSpec(("0",), (3,))):
+        with pytest.raises(TypeError):
+            call()
+    box = BoxSpec((np.int64(2), np.int64(3)), np.int64(4), tuple(np.arange(3)))
+    assert box == BoxSpec((2, 3), 4, (0, 1, 2))
+    assert {type(x) for x in (*box.dims, box.height, *box.offset)} == {int}
+    rect = RectSpec(np.zeros(2, dtype=np.int64), np.array([2, 3]))
+    assert rect == RectSpec((0, 0), (2, 3)) and rect.slab_box(1) == BoxSpec((2, 3), 2, (0, 0, -1))

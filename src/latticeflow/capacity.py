@@ -24,7 +24,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .lattice import BoxSpec, edge_map, edges_in_box
+from .lattice import BoxSpec, _is_bool, edge_map, edges_in_box
 
 DEFAULT_RESOLUTION = 2**20
 
@@ -42,21 +42,22 @@ class CapacityOverflowError(OverflowError):
 
 
 def is_power_of_two(n: int) -> bool:
-    return isinstance(n, int) and n >= 1 and n & (n - 1) == 0
+    return isinstance(n, int) and not _is_bool(n) and n >= 1 and n & (n - 1) == 0
 
 
 def as_fraction(x) -> Fraction:
     """Exact rational from int/Fraction/str input.
 
-    Floats are interpreted through their shortest round-trip decimal
-    representation, so 0.9 means 9/10 rather than the nearest binary float.
+    Floats, numpy's float64 among them, are interpreted through their
+    shortest round-trip decimal representation, so 0.9 means 9/10 rather
+    than the nearest binary float.
     """
-    if isinstance(x, bool):
+    if _is_bool(x):
         raise TypeError("booleans are not numeric parameters")
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError("parameter must be finite")
-        return Fraction(repr(x))
+        return Fraction(repr(float(x)))
     if isinstance(x, (int, Rational, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
@@ -67,6 +68,18 @@ def unit_count(value: Fraction, resolution: int) -> int:
     if value < 0:
         raise ValueError("capacity values must be non-negative")
     return (value.numerator * resolution) // value.denominator
+
+
+def read_lam(value) -> Fraction:
+    """A flow threshold lam per base site: ``as_fraction(value)``, non-negative."""
+    if (lam := as_fraction(value)) < 0:
+        raise ValueError("lam must be non-negative")
+    return lam
+
+
+def threshold_units(lam: Fraction, area: int, k: int) -> int:
+    """ceil(lam * area * k): the fewest 1/k flow units that reach lam per site of ``area``."""
+    return math.ceil(lam * area * k)
 
 
 def int64_copy(values, what: str) -> np.ndarray:
@@ -81,9 +94,9 @@ def int64_copy(values, what: str) -> np.ndarray:
     return out
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+def _check_seed(seed: int, what: str = "seed") -> int:
+    if not isinstance(seed, int) or _is_bool(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"{what} must be a 64-bit unsigned integer")
     return seed
 
 
@@ -131,13 +144,13 @@ class DistributionSpec:
 
     @classmethod
     def exponential(cls, rate: float) -> "DistributionSpec":
-        if isinstance(rate, bool) or not 0 < rate < math.inf:
+        if _is_bool(rate) or not 0 < rate < math.inf:
             raise ValueError("rate must be positive and finite")
         return cls(EXPONENTIAL, rate=float(rate))
 
     @classmethod
     def half_normal(cls, sigma: float) -> "DistributionSpec":
-        if isinstance(sigma, bool) or not 0 < sigma < math.inf:
+        if _is_bool(sigma) or not 0 < sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
         return cls(HALF_NORMAL, sigma=float(sigma))
 
@@ -254,9 +267,7 @@ def derive_seeds(master: int, indices):
 
 def derive_seed(master: int, index: int) -> int:
     """Stable 64-bit sub-seed for replica ``index`` of a master seed."""
-    if not isinstance(index, int) or not 0 <= index < 2**64:
-        raise ValueError("replica index must be a 64-bit unsigned integer")
-    return int(derive_seeds(master, index))
+    return int(derive_seeds(master, _check_seed(index, "replica index")))
 
 
 # Philox4x64-10 (Salmon et al. 2011): round multipliers, also halved, and key increments.
@@ -389,10 +400,8 @@ def _level_step(k: int, resolution: int) -> int:
     ``k`` must be a power of two not exceeding ``resolution``, so the coarse
     grid is a sub-grid of the stored one and the operation is exact.
     """
-    if not is_power_of_two(k):
-        raise ValueError("k must be a positive power of two")
-    if k > resolution:
-        raise ValueError("k must not exceed the field resolution")
+    if not is_power_of_two(k) or k > resolution:
+        raise ValueError("level must be a power of two no larger than the resolution")
     return resolution // k
 
 

@@ -26,9 +26,11 @@ from . import __version__
 from .capacity import (
     DEFAULT_RESOLUTION,
     DistributionSpec,
+    _level_step,
     as_fraction,
     discretize,
     is_power_of_two,
+    read_lam,
     sample_field,
 )
 from .cuts import tau_slab
@@ -37,7 +39,7 @@ from .estimators import (
     estimate_nu_sweep,
     estimate_psi_sweep,
     exact_tail_probability,
-    usable_cpus,
+    worker_processes,
 )
 from .flow import CapacityOverflowError, min_cut, value_solver
 from .lattice import HORIZONTAL, VERTICAL, BoxSpec, RectSpec, edge_ends, vertex_points
@@ -229,13 +231,6 @@ def _read(path, parse):
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _lam(value) -> Fraction:
-    lam = _parse(as_fraction, value)
-    if lam < 0:
-        raise ConfigError(f"lam must be non-negative, got {value!r}")
-    return lam
-
-
 def _law(config) -> tuple[DistributionSpec, int, int]:
     """The capacity law, the dimension d and the resolution R of a run."""
     make, fields = _LAWS[config["distribution"]["kind"]]
@@ -265,11 +260,8 @@ def _box(d: int, n: int, height=None, k_slab=None, sampled: bool = True) -> BoxS
 
 
 def _k_disc(config, resolution: int) -> int:
-    k = config.get("k_disc", "R")
-    if k == "R":
-        return resolution
-    if not is_power_of_two(k) or k > resolution:
-        raise ConfigError("k_disc must be a power of two not exceeding the resolution")
+    k = resolution if config.get("k_disc", "R") == "R" else config["k_disc"]
+    _parse(lambda k: _level_step(k, resolution), k)
     return k
 
 
@@ -346,7 +338,7 @@ def _run_nu(config):
         "d", "n", "k_slab", "replications", "seed", "resolution",
         "mean_num", "mean_den", "mean", "stderr",
     ], rows, {"value_solver": value_solver(d),
-              "processes": min(config.get("workers", 1), usable_cpus())}
+              "processes": worker_processes(config.get("workers", 1))}
 
 
 def _run_psi(config):
@@ -354,7 +346,7 @@ def _run_psi(config):
     n = config["n"]
     h = _box(d, n, config["height"]).height
     k_disc = _k_disc(config, r)
-    lams = [_lam(l) for l in config["lambdas"]]
+    lams = [_parse(read_lam, l) for l in config["lambdas"]]
     tally = Counter()
     estimates = estimate_psi_sweep(
         dist, lams, n, h, k_disc, config["samples"], config["seed"],
@@ -370,7 +362,7 @@ def _run_psi(config):
         "lam", "lam_exact", "d", "n", "h", "k_disc", "samples", "hits",
         "hit_rate", "psi_hat", "psi_ci_lo", "psi_ci_hi", "infinite_flag", "seed",
     ], rows, {"value_solver": value_solver(d), "solver_counts": tally,
-              "processes": min(config.get("workers", 1), usable_cpus())}
+              "processes": worker_processes(config.get("workers", 1))}
 
 
 def _run_oracle(config):
@@ -379,7 +371,7 @@ def _run_oracle(config):
         raise ConfigError("oracle needs a finite law: bernoulli or finite_discrete")
     # nothing is sampled: the enumeration budget bounds the box instead
     box = _box(d, config["n"], config["height"], sampled=False)
-    lam = _lam(config["lam"])
+    lam = _parse(read_lam, config["lam"])
     tally = Counter()
     prob = exact_tail_probability(
         dist, box, lam,

@@ -27,7 +27,9 @@ from .capacity import (
     _unit_table,
     as_fraction,
     derive_seeds,
+    read_lam,
     sample_block,
+    threshold_units,
 )
 from .cuts import uncuttable_edge_ids
 from .flow import _reached, _values
@@ -38,27 +40,31 @@ class EnumerationBudgetError(RuntimeError):
     """The exact enumeration would exceed the configured assignment budget."""
 
 
-# Capacities sampled per block: the (rows, edges) float temporaries of one
-# block stay near 128 KiB whatever the box size.
+# Capacities sampled per block, ``_block_rows(width)`` rows of ``width``: the
+# (rows, edges) float temporaries of one block stay near 128 KiB whatever the box size.
 _BLOCK_ELEMENTS = 2**14
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _block_rows(width: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // width)
+
+
+def worker_processes(workers: int) -> int:
+    """The most children a run may fork: ``workers`` capped at the usable CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, cpus)
 
 
 def _map_indices(jobs, workers: int) -> list[list]:
     """Per (fn, count, width) job, ``fn(block)`` over consecutive index
-    blocks of range(count), in block order. A block holds at most
-    _BLOCK_ELEMENTS // width replicas, and a job has at least workers * 8
+    blocks of range(count), count >= 1, in block order. A block holds at
+    most ``_block_rows(width)`` replicas, and a job has at least workers * 8
     blocks when count allows, so the workers stay balanced. All jobs share
-    one fork-join map (``_fork_map``). ``workers`` is capped at the CPUs
-    this process may use."""
-    workers = min(workers, usable_cpus())
+    one fork-join map (``_fork_map``) over ``worker_processes(workers)``."""
+    workers = worker_processes(workers)
     blocks = []  # (job, fn, replica range) of each block
     for job, (fn, count, width) in enumerate(jobs):
-        rows = max(1, min(_BLOCK_ELEMENTS // width, -(-count // (workers * 8))))
+        rows = min(_block_rows(width), -(-count // (workers * 8)))
         blocks += [(job, fn, range(lo, min(lo + rows, count))) for lo in range(0, count, rows)]
     processes = min(workers, len(blocks))
     calls = [partial(fn, block) for _, fn, block in blocks]
@@ -251,19 +257,16 @@ def estimate_psi_sweep(
     """
     if samples < 1 or h < 1:
         raise ValueError("samples and h must be >= 1")
-    lamfs = [as_fraction(l) for l in lams]
-    if any(l < 0 for l in lamfs):
-        raise ValueError("lam must be non-negative")
-    area = n ** (d - 1)
-    thresholds = [math.ceil(l * area * resolution) for l in lamfs]
     box = BoxSpec((n,) * (d - 1), h)
+    lamfs = [read_lam(l) for l in lams]
+    thresholds = [threshold_units(l, box.base_area, resolution) for l in lamfs]
     grid = sorted(set(thresholds))
     fn = partial(_block_solve, _reached, box, grid, k_disc, dist, resolution, seed)
     reached, solved = zip(*_map_indices([(fn, samples, box.edge_count)], workers)[0])
     if tally is not None:
         tally.update(decided_by_bounds=samples - sum(solved), solved=sum(solved))
     reached = np.concatenate(reached)
-    volume = area * h
+    volume = box.base_area * h
     out = []
     for lamf, thr in zip(lamfs, thresholds):
         hits = int(np.count_nonzero(reached > grid.index(thr)))  # reaching grid[j] = reaching > j
@@ -321,9 +324,7 @@ def exact_tail_probability(
     """
     if not dist.is_finite:
         raise ValueError("exact enumeration needs a finite-support law")
-    lamf = as_fraction(lam)
-    if lamf < 0:
-        raise ValueError("lam must be non-negative")
+    threshold = threshold_units(read_lam(lam), box.base_area, resolution)
     m = box.edge_count
     s = len(dist.support)
     # s**m > budget, exactly (s >= 2 makes s**bit_length > budget), without
@@ -333,10 +334,9 @@ def exact_tail_probability(
     if m > budget:  # one atom: a single assignment, but one entry per edge
         raise EnumerationBudgetError(f"an assignment of {m} edges exceeds the budget {budget}")
     units = _unit_table(dist, resolution)
-    threshold = math.ceil(lamf * box.base_area * resolution)
     assignments = itertools.product(range(s), repeat=m)
     hits = Counter()  # sorted atom indices of a hit assignment -> count
-    while block := list(itertools.islice(assignments, max(1, _BLOCK_ELEMENTS // m))):
+    while block := list(itertools.islice(assignments, _block_rows(m))):
         rows = np.array(block)
         reached, solved = _reached(box, units[rows], [threshold])
         if tally is not None:

@@ -503,6 +503,8 @@ def validate_stream(box: BoxSpec, field: CapacityField, stream: Stream) -> list[
     """Every capacity violation and every unbalanced vertex below the top face."""
     if field.box != box or stream.box != box:
         raise ValueError("box, field and stream shapes must match")
+    if field.resolution != stream.resolution:
+        raise ValueError("resolutions differ")
     flow, caps = stream.flow, field.caps
     over = np.flatnonzero((flow > caps) | (flow < -caps)).tolist()
     edges = edges_in_box(box) if over else ()

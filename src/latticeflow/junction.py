@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityField, CapacityOverflowError, as_fraction, discretize, is_power_of_two
+from .capacity import CapacityField, CapacityOverflowError, _level_step, discretize, read_lam, threshold_units
 from .flow import Stream, _unbalanced, decompose_paths, flow_value, max_flow
 from .lattice import BoxSpec, edge_ends, edge_index, edge_map, vertical_edges
 
@@ -42,9 +42,7 @@ class DiscreteStream(Stream):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not is_power_of_two(self.level) or self.level > self.resolution:
-            raise ValueError("level must be a power of two dividing the resolution")
-        step = self.resolution // self.level
+        step = _level_step(self.level, self.resolution)
         box = self.box
         if any(x % step for x in self.flow.tolist()):
             raise ValueError(f"amounts are not multiples of 1/{self.level}")
@@ -165,7 +163,7 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
     concatenate; otherwise ceil(lam * n^(d-1) * k) unit paths are re-glued
     through a column that exceeds it on both sides.
     """
-    lamf = as_fraction(lam)
+    lamf = read_lam(lam)
     if s1.level != level or s2.level != level:
         raise ValueError("streams must be discrete at the requested level")
     if s1.resolution != s2.resolution:
@@ -196,7 +194,7 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
             flow[edge_map(part.box, union)] = part.flow
         return DiscreteStream(union, r, flow, level)
 
-    q = math.ceil(lamf * n ** (d - 1) * level)
+    q = threshold_units(lamf, n ** (d - 1), level)
     meet = next(itertools.islice(b1.base_points(), heavy.index(True), None)) + (interface,)
     lower = [p for p in decompose_paths(b1, s1, level) if p[-1] == meet]
     upper = [p for p in decompose_paths(b2, s2, level) if p[0] == meet]

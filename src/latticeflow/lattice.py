@@ -44,6 +44,18 @@ HORIZONTAL = "horizontal"
 GEOMETRY_CACHE_SIZE = 512
 
 
+def _is_bool(x) -> bool:
+    """Python's or numpy's boolean, which an int check or ``operator.index`` may let pass."""
+    return isinstance(x, (bool, np.bool_))
+
+
+def _integer(x) -> int:
+    """``operator.index(x)``, refusing booleans."""
+    if _is_bool(x):
+        raise TypeError(f"{x!r} is a boolean, not an integer")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class Edge:
     """Unordered nearest-neighbour edge, endpoints kept in lexicographic order."""
@@ -79,15 +91,15 @@ class BoxSpec:
     offset: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        dims = tuple(map(operator.index, self.dims))
+        dims = tuple(map(_integer, self.dims))
         if len(dims) < 1:
             raise ValueError("need at least one base dimension (d >= 2)")
         if any(k < 1 for k in dims):
             raise ValueError("all base side lengths must be >= 1")
-        height = operator.index(self.height)
+        height = _integer(self.height)
         if height < 1:
             raise ValueError("height must be >= 1")
-        offset = tuple(map(operator.index, self.offset)) if self.offset else (0,) * (len(dims) + 1)
+        offset = tuple(map(_integer, self.offset)) if self.offset else (0,) * (len(dims) + 1)
         if len(offset) != len(dims) + 1:
             raise ValueError("offset must have one entry per coordinate")
         object.__setattr__(self, "dims", dims)
@@ -222,8 +234,8 @@ class RectSpec:
     hi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        lo = tuple(map(operator.index, self.lo))
-        hi = tuple(map(operator.index, self.hi))
+        lo = tuple(map(_integer, self.lo))
+        hi = tuple(map(_integer, self.hi))
         if len(lo) != len(hi) or not lo:
             raise ValueError("bounds must be non-empty and of equal length")
         if any(a >= b for a, b in zip(lo, hi)):
@@ -246,6 +258,7 @@ class RectSpec:
 
     def slab_box(self, half_height: int) -> BoxSpec:
         """The slab rect x ]-k, k] as a box, reusing the box edge conventions."""
+        half_height = _integer(half_height)
         if half_height < 1:
             raise ValueError("half_height must be >= 1")
         return BoxSpec(self.sides, 2 * half_height, self.lo + (-half_height,))

@@ -29,7 +29,7 @@ from .capacity import (
     edge_uniform_rows,
 )
 from .cuts import check_subadditivity
-from .estimators import _BLOCK_ELEMENTS, estimate_psi, exact_tail_probability
+from .estimators import _block_rows, estimate_psi, exact_tail_probability
 from .flow import flow_value, max_flow, menger_count, min_cut, min_cut_value, validate_stream
 from .junction import (
     discrete_max_flow_stream,
@@ -65,10 +65,10 @@ _OPEN_OR_SHUT = DistributionSpec.finite_discrete([("1", "0.5"), ("0", "0.5")])  
 
 def _trial_fields(seed: int, boxes: list[BoxSpec], laws=_MIXED_DISTRIBUTIONS):
     """``sample_field(boxes[t], laws[t % len(laws)], DEFAULT_RESOLUTION, derive_seed(seed, t))``
-    per trial t, from rows as wide as the largest box, about _BLOCK_ELEMENTS
-    draws a block: draw i depends only on (seed, i), so a prefix will do."""
+    per trial t, in the estimators' sampling blocks of rows as wide as the
+    largest box: draw i depends only on (seed, i), so a prefix will do."""
     width = max((box.edge_count for box in boxes), default=1)
-    rows = max(1, _BLOCK_ELEMENTS // width)
+    rows = _block_rows(width)
     for lo in range(0, len(boxes), rows):
         block = edge_uniform_rows(derive_seeds(seed, range(lo, min(lo + rows, len(boxes)))), width)
         for t, (box, u) in enumerate(zip(boxes[lo : lo + rows], block), lo):

@@ -18,10 +18,12 @@ from latticeflow.capacity import (
     derive_seeds,
     discretize,
     edge_uniform_rows,
+    is_power_of_two,
     sample_block,
     sample_field,
     unit_count,
 )
+from latticeflow.estimators import estimate_psi
 from reference_capacity import edge_uniforms
 from reference_lattice import edge_ids
 
@@ -40,6 +42,18 @@ def test_as_fraction_uses_decimal_reading_of_floats():
         as_fraction(float("inf"))
     with pytest.raises(TypeError):
         as_fraction(True)
+
+
+def test_numpy_floats_read_as_their_shortest_decimal():
+    """numpy's float64 is a float whose repr is ``np.float64(0.9)`` under numpy 2;
+    it reads as 9/10, as the Python float does."""
+    half = np.float64(0.5)
+    assert as_fraction(np.float64(0.9)) == Fraction(9, 10)
+    assert DistributionSpec.bernoulli(np.float64(0.9)) == DistributionSpec.bernoulli("0.9")
+    assert DistributionSpec.uniform(0, half) == DistributionSpec.uniform(0, "1/2")
+    bern = DistributionSpec.bernoulli("0.9")
+    a, b = (estimate_psi(bern, lam, 2, 2, R, 20, seed=3) for lam in (half, "1/2"))
+    assert a.lam == b.lam == Fraction(1, 2) and a.hits == b.hits
 
 
 def test_unit_count_floor():
@@ -64,10 +78,10 @@ def test_distribution_validation():
 
 
 @pytest.mark.parametrize("make", [DistributionSpec.exponential, DistributionSpec.half_normal])
-@pytest.mark.parametrize("value", [math.inf, math.nan, True])
+@pytest.mark.parametrize("value", [math.inf, math.nan, True, np.True_])
 def test_rate_and_sigma_must_be_positive_finite_numbers(make, value):
     """An infinite rate would sample every capacity as 0, an infinite sigma
-    overflows only at sampling, and True would read as 1.0."""
+    overflows only at sampling, and True, Python's or numpy's, would read as 1.0."""
     with pytest.raises(ValueError, match="positive and finite"):
         make(value)
 
@@ -78,10 +92,20 @@ def test_rate_and_sigma_must_be_positive_finite_numbers(make, value):
                  id="negative-atom"),
     pytest.param(lambda: unit_count(Fraction(-1, 2), 8), ValueError, "non-negative", id="negative-units"),
     pytest.param(lambda: as_fraction(None), TypeError, "cannot interpret", id="fraction-of-none"),
+    pytest.param(lambda: CapacityField(BoxSpec((1,), 1), True, [1]), ValueError, "power of two",
+                 id="resolution-true"),
+    pytest.param(lambda: sample_field(BoxSpec((1,), 1), DistributionSpec.uniform(0, 1), R, seed=True),
+                 ValueError, "seed must be", id="seed-true"),
+    pytest.param(lambda: derive_seed(1, True), ValueError, "replica index must be", id="replica-index-true"),
+    pytest.param(lambda: derive_seed(True, 1), ValueError, "seed must be", id="master-seed-true"),
 ])
 def test_refusals(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+def test_booleans_are_not_powers_of_two():
+    assert not is_power_of_two(True) and not is_power_of_two(np.True_) and is_power_of_two(1)
 
 
 def test_degenerate_bernoulli_saturates():

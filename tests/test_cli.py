@@ -15,7 +15,7 @@ from jsonschema import Draft202012Validator
 from reference_capacity import edge_uniforms
 
 import latticeflow
-from latticeflow import capacity, cli, estimators
+from latticeflow import capacity, estimators
 from latticeflow.capacity import DistributionSpec
 from latticeflow.cli import (
     EXIT_BUDGET,
@@ -771,8 +771,7 @@ def test_sidecar_counts_bound_decisions(tmp_path):
 def test_sidecar_records_the_processes_a_run_may_fork(tmp_path, monkeypatch):
     """At 3 requested workers on 2 usable CPUs, psi forks at most 2 children;
     ``workers`` keeps the request, and the CSV equals the 1-worker run's."""
-    monkeypatch.setattr(estimators, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = write_config(tmp_path, "c.json", {"seed": 3, "distribution": BERN, "n": 2, "height": 2,
                                             "lambdas": ["0.5", "1"], "samples": 40})
     for w in (1, 3):

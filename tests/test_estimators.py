@@ -212,6 +212,8 @@ def test_psi_rejects_bad_discretisation_level(k_disc):
     pytest.param(lambda: estimate_psi_sweep(BERN09, [-0.5], 2, 2, R, 5, 1), "lam must be non-negative",
                  id="psi-negative-lam"),
     pytest.param(lambda: psi_curve_diagnostics([], 0), "empty estimate list", id="diagnostics-empty"),
+    pytest.param(lambda: exact_tail_probability(BERN09, BoxSpec((2,), 2), 1, resolution=3), "power of two",
+                 id="oracle-resolution-3"),
 ])
 def test_refusals(call, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -368,6 +368,19 @@ COLUMN = BoxSpec((1,), 1)  # one vertical edge
     pytest.param(lambda: validate_stream(BOX2, CapacityField.constant(BOX2.translate((1, 0)), R),
                                          max_flow(BOX2, CapacityField.constant(BOX2, R)).stream),
                  "shapes must match", id="validate-other-box"),
+    # flows and capacities counted in different units: 1 unit at R=1 is 8 at R=8
+    pytest.param(lambda: validate_stream(BOX2, CapacityField.constant(BOX2, 1, resolution=8),
+                                         max_flow(BOX2, CapacityField.constant(BOX2, 1, resolution=1)).stream),
+                 "resolutions differ", id="validate-coarser-stream"),
+    pytest.param(lambda: validate_stream(BOX2, CapacityField.constant(BOX2, 1, resolution=1),
+                                         max_flow(BOX2, CapacityField.constant(BOX2, 8, resolution=8)).stream),
+                 "resolutions differ", id="validate-finer-stream"),
+    pytest.param(lambda: min_cut_value(BOX2, CapacityField.constant(BOX2.translate((1, 0)), R)),
+                 "does not cover this box", id="value-other-box"),
+    pytest.param(lambda: min_cut(BOX2, CapacityField.constant(BOX2.translate((1, 0)), R)),
+                 "does not cover this box", id="cut-other-box"),
+    pytest.param(lambda: max_flow(BOX2, CapacityField.constant(BOX2.translate((1, 0)), R)),
+                 "does not cover this box", id="flow-other-box"),
     pytest.param(lambda: decompose_paths(COLUMN, Stream(COLUMN, R, np.array([R])), 3), "must divide",
                  id="decompose-k-not-dividing"),
     pytest.param(lambda: decompose_paths(COLUMN, Stream(COLUMN, R, np.array([-R])), 1), "negative flow",

@@ -296,6 +296,8 @@ def zero_stream(box, resolution=R, level=2):
     pytest.param(lambda: join_streams(column_stream(BOX, (R, R), level=2), zero_stream(ABOVE),
                                       Fraction(1, 2), 2, 2),
                  JunctionHypothesisError, "flow_shortfall: upper stream", id="join-upper-short"),
+    pytest.param(lambda: join_streams(zero_stream(BOX), zero_stream(ABOVE), Fraction(-1, 2), 2, 2),
+                 ValueError, "lam must be non-negative", id="join-negative-lam"),
 ])
 def test_refusals(call, error, fragment):
     with pytest.raises(error, match=fragment):

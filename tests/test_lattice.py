@@ -326,11 +326,14 @@ def test_refusals(call, fragment):
 
 
 def test_sizes_must_be_exact_integers():
-    """A float or a string size is refused, not truncated; numpy integers are
-    read as the Python ints they hold."""
+    """A float, a string or a boolean size is refused, not truncated or read
+    as 0 or 1; numpy integers are read as the Python ints they hold."""
     for call in (lambda: BoxSpec((2.7,), 3), lambda: BoxSpec((2,), "3"), lambda: BoxSpec((2,), 3.0),
                  lambda: BoxSpec((2,), 2, (0.5, 0)), lambda: RectSpec((0.5,), (3,)),
-                 lambda: RectSpec((0,), (3.9,)), lambda: RectSpec(("0",), (3,))):
+                 lambda: RectSpec((0,), (3.9,)), lambda: RectSpec(("0",), (3,)),
+                 lambda: BoxSpec((True,), 2), lambda: BoxSpec((2,), True), lambda: BoxSpec((2,), 2, (False, 0)),
+                 lambda: BoxSpec((np.True_,), 2), lambda: RectSpec((False,), (True,)),
+                 lambda: RectSpec((0,), (2,)).slab_box(True)):
         with pytest.raises(TypeError):
             call()
     box = BoxSpec((np.int64(2), np.int64(3)), np.int64(4), tuple(np.arange(3)))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_capacity import edge_uniforms
 
-from latticeflow import verify
+from latticeflow import estimators, verify
 from latticeflow.capacity import DEFAULT_RESOLUTION, derive_seed, sample_field
 from latticeflow.lattice import BoxSpec
 
@@ -33,7 +33,7 @@ def test_trial_fields_equal_one_seed_sampling(seed, boxes, block):
     """Blocks of every size, a block narrower than one row included, give
     trial t the field of its own sub-seed, the laws cycling as listed."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_BLOCK_ELEMENTS", block)
+        mp.setattr(estimators, "_BLOCK_ELEMENTS", block)
         fields = list(verify._trial_fields(seed, boxes))
     laws = verify._MIXED_DISTRIBUTIONS
     assert len(fields) == len(boxes)
@@ -48,7 +48,7 @@ def test_trial_fields_equal_one_seed_sampling(seed, boxes, block):
 def test_trial_fields_of_one_law_equal_one_seed_sampling(law, seed):
     boxes = [BoxSpec((5,), 6), BoxSpec((1,), 1), BoxSpec((2, 3), 4)] * 5
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_BLOCK_ELEMENTS", 300)  # three trials a block
+        mp.setattr(estimators, "_BLOCK_ELEMENTS", 300)  # three trials a block
         fields = list(verify._trial_fields(seed, boxes, (law,)))
     for t, (box, field) in enumerate(zip(boxes, fields)):
         assert np.array_equal(field.caps, sample_field(box, law, R, derive_seed(seed, t)).caps)

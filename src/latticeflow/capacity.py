@@ -4,6 +4,7 @@ Capacities are stored as non-negative integer counts of 1/R units with R a
 power of two (default 2**20). Continuous laws are floored onto the 1/R grid
 at sampling time, so the stored field is the exact ground truth every solver
 operates on; finite laws whose atoms sit on the grid are stored exactly.
+``_check_resolution`` alone checks R, and ``derive_seeds`` each replica index.
 
 Sampling is counter based: the draw for edge id i is a pure function of
 (seed, i), so fields are reproducible across platforms, independent of
@@ -100,6 +101,13 @@ def _check_seed(seed: int, what: str = "seed") -> int:
     return seed
 
 
+def _check_resolution(resolution: int) -> int:
+    """The rule for every resolution R: a power of two, so each 1/k grid is a sub-grid of 1/R."""
+    if not is_power_of_two(resolution):
+        raise ValueError("resolution must be a power of two")
+    return resolution
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """Capacity law of a single edge.
@@ -171,8 +179,7 @@ class CapacityField:
     caps: np.ndarray
 
     def __post_init__(self) -> None:
-        if not is_power_of_two(self.resolution):
-            raise ValueError("resolution must be a positive power of two")
+        _check_resolution(self.resolution)
         caps = int64_copy(self.caps, "capacities")
         n = self.box.edge_count
         if caps.shape != (n,):
@@ -250,10 +257,13 @@ def derive_seeds(master: int, indices):
     Equals ``SeedSequence(master, spawn_key=(i,)).generate_state(1,
     np.uint64)``: the master's pool is mixed once, then only the one or two
     32-bit spawn words of each index are mixed in. Takes a sequence of
-    indices below 2**64 and returns a uint64 array; a single int index runs
-    the same arithmetic on Python ints and returns an int.
+    ints in [0, 2**64), not booleans, and returns a uint64 array; a single
+    int index runs the same arithmetic on Python ints and returns an int.
     """
     _check_seed(master)
+    ends = [indices[0], indices[-1]] if isinstance(indices, range) and indices else indices
+    for i in np.asarray(ends, dtype=object).ravel():  # a range is checked at its two ends, in O(1)
+        _check_seed(i, "replica index")
     idx = indices if isinstance(indices, int) else np.asarray(indices, dtype=np.uint64)
     pool = _mix_word(_master_pool(master), idx & _MASK32, _SPAWN_CONSTS[:_POOL_SIZE])
     high = idx >> 32
@@ -267,7 +277,7 @@ def derive_seeds(master: int, indices):
 
 def derive_seed(master: int, index: int) -> int:
     """Stable 64-bit sub-seed for replica ``index`` of a master seed."""
-    return int(derive_seeds(master, _check_seed(index, "replica index")))
+    return int(derive_seeds(master, index))
 
 
 # Philox4x64-10 (Salmon et al. 2011): round multipliers, also halved, and key increments.
@@ -332,15 +342,12 @@ def edge_uniform_rows(seeds, count: int) -> np.ndarray:
     """Row i holds [0, 1) draws, draw j a function of (seeds[i], j) alone:
     those of a fresh ``Generator(Philox(key=seeds[i])).random(count)``."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):  # any uint64 is a seed
-        seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
-        seeds = np.array([_check_seed(s) for s in seeds], dtype=np.uint64)
+        seeds = np.array([_check_seed(s) for s in np.asarray(seeds, dtype=object).ravel()], dtype=np.uint64)
     return (_philox_words(seeds, count) >> 11) * 2.0**-53  # numpy's next_double
 
 
 def _unit_table(dist: DistributionSpec, resolution: int) -> np.ndarray:
     """int64 capacity units of each atom of a finite law, in support order."""
-    if not is_power_of_two(resolution):
-        raise ValueError("resolution must be a positive power of two")
     units = [unit_count(v, resolution) for v in dist.support]
     if max(units) >= 2**63:
         raise CapacityOverflowError("a support value overflows 64-bit capacity units")
@@ -349,9 +356,7 @@ def _unit_table(dist: DistributionSpec, resolution: int) -> np.ndarray:
 
 def caps_from_uniforms(dist: DistributionSpec, resolution: int, u: np.ndarray) -> np.ndarray:
     """int64 capacity units of ``dist`` for uniform draws ``u`` of any shape:
-    the draw's quantile, floored onto the 1/resolution grid."""
-    if not is_power_of_two(resolution):
-        raise ValueError("resolution must be a positive power of two")
+    the draw's quantile, floored onto the 1/resolution grid. Its callers check the resolution."""
     r = float(resolution)
     if dist.is_finite:
         cum = np.cumsum(np.array([float(p) for p in dist.probs]))
@@ -380,7 +385,7 @@ def sample_block(box: BoxSpec, dist: DistributionSpec, resolution: int, seeds) -
     Each row equals ``sample_field(box, dist, resolution, seeds[i]).caps``;
     the law is mapped over the whole block at once.
     """
-    return caps_from_uniforms(dist, resolution, edge_uniform_rows(seeds, box.edge_count))
+    return caps_from_uniforms(dist, _check_resolution(resolution), edge_uniform_rows(seeds, box.edge_count))
 
 
 def sample_field(
@@ -390,8 +395,8 @@ def sample_field(
     seed: int = 0,
 ) -> CapacityField:
     """One independent capacity draw per edge, floored onto the 1/R grid."""
-    caps = sample_block(box, dist, resolution, [seed])[0]
-    return CapacityField(box, resolution, caps)
+    caps = caps_from_uniforms(dist, resolution, edge_uniform_rows([seed], box.edge_count)[0])
+    return CapacityField(box, resolution, caps)  # which checks the resolution
 
 
 def _level_step(k: int, resolution: int) -> int:

@@ -26,10 +26,10 @@ from . import __version__
 from .capacity import (
     DEFAULT_RESOLUTION,
     DistributionSpec,
+    _check_resolution,
     _level_step,
     as_fraction,
     discretize,
-    is_power_of_two,
     read_lam,
     sample_field,
 )
@@ -235,10 +235,10 @@ def _law(config) -> tuple[DistributionSpec, int, int]:
     """The capacity law, the dimension d and the resolution R of a run."""
     make, fields = _LAWS[config["distribution"]["kind"]]
     dist = _parse(lambda law: make(**{k: law[k] for k in fields if k in law}), config["distribution"])
-    r = config.get("resolution", DEFAULT_RESOLUTION)
-    if not is_power_of_two(r):
-        raise ConfigError("resolution must be a power of two")
-    return dist, config.get("d", 2), r
+    try:
+        return dist, config.get("d", 2), _check_resolution(config.get("resolution", DEFAULT_RESOLUTION))
+    except ValueError as err:  # the library's message, without _parse's "bad value" prefix
+        raise ConfigError(err) from None
 
 
 # One float64 uniform per edge and replica row: 2^24 edges make 128 MiB a
@@ -297,10 +297,8 @@ def _run_sample(config):
 def _run_flow(config):
     dist, d, r = _law(config)
     box = _box(d, config["n"], config["height"])
-    field = sample_field(box, dist, r, config["seed"])
     k_disc = _k_disc(config, r)
-    if k_disc != r:
-        field = discretize(field, k_disc)
+    field = discretize(sample_field(box, dist, r, config["seed"]), k_disc)  # unchanged at k_disc = R
     cut = min_cut(box, field)  # its weight is the flow value
     rows = [[
         d, config["n"], config["height"], config["seed"], r, k_disc,

@@ -23,6 +23,7 @@ import numpy as np
 from .capacity import (
     DEFAULT_RESOLUTION,
     DistributionSpec,
+    _check_resolution,
     _level_step,
     _unit_table,
     as_fraction,
@@ -33,7 +34,7 @@ from .capacity import (
 )
 from .cuts import uncuttable_edge_ids
 from .flow import _reached, _values
-from .lattice import BoxSpec, RectSpec
+from .lattice import BoxSpec, RectSpec, _count
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -52,7 +53,7 @@ def _block_rows(width: int) -> int:
 def worker_processes(workers: int) -> int:
     """The most children a run may fork: ``workers`` capped at the usable CPUs."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(workers, cpus)
+    return min(_count(workers, "workers"), cpus)
 
 
 def _map_indices(jobs, workers: int) -> list[list]:
@@ -136,9 +137,8 @@ def _child(calls, w: int):
 def _block_solve(solve, box, arg, k_disc, dist, resolution, seed, block: range):
     """``solve(box, rows, arg)`` on the capacity rows of replicas ``block`` on
     ``box``, every capacity floored to the 1/k_disc grid."""
-    step = _level_step(k_disc, resolution)
-    rows = sample_block(box, dist, resolution, derive_seeds(seed, block))
-    rows -= rows % step
+    rows = sample_block(box, dist, resolution, derive_seeds(seed, block))  # which checks the resolution
+    rows -= rows % _level_step(k_disc, resolution)
     return solve(box, rows, arg)
 
 
@@ -149,8 +149,8 @@ def wilson_interval(hits: int, samples: int, z: float = 1.96) -> tuple[float, fl
     0 and all hits give an upper limit of 1, which float rounding of the
     closed form does not guarantee.
     """
-    if not 0 <= hits <= samples or samples < 1:
-        raise ValueError("need 0 <= hits <= samples, samples >= 1")
+    if not 0 <= hits <= _count(samples, "samples"):
+        raise ValueError("need 0 <= hits <= samples")
     p = hits / samples
     denom = 1.0 + z * z / samples
     center = (p + z * z / (2 * samples)) / denom
@@ -180,8 +180,7 @@ def estimate_nu_sweep(
 ) -> list[NuEstimate]:
     """``estimate_nu`` for every (n, k_slab) of ``slabs``, with the replicas
     of all slabs mapped over one fork-join map."""
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    replications = _count(replications, "replications")
     jobs = []
     for n, k_slab in slabs:
         base = RectSpec.cube(n, d)
@@ -255,9 +254,8 @@ def estimate_psi_sweep(
     keeps the whole curve consistent replica by replica. ``tally``, if given,
     counts the replicas ``flow._reached`` decided by its bounds and solved.
     """
-    if samples < 1 or h < 1:
-        raise ValueError("samples and h must be >= 1")
-    box = BoxSpec((n,) * (d - 1), h)
+    samples = _count(samples, "samples")
+    box = BoxSpec((n,) * (d - 1), h)  # which reads h by the count rule
     lamfs = [read_lam(l) for l in lams]
     thresholds = [threshold_units(l, box.base_area, resolution) for l in lamfs]
     grid = sorted(set(thresholds))
@@ -329,11 +327,11 @@ def exact_tail_probability(
     s = len(dist.support)
     # s**m > budget, exactly (s >= 2 makes s**bit_length > budget), without
     # forming s**m, which has billions of digits on a large box
-    if s ** min(m, budget.bit_length()) > budget:
+    if s ** min(m, _count(budget, "budget").bit_length()) > budget:
         raise EnumerationBudgetError(f"{s}**{m} assignments exceed the budget {budget}")
     if m > budget:  # one atom: a single assignment, but one entry per edge
         raise EnumerationBudgetError(f"an assignment of {m} edges exceeds the budget {budget}")
-    units = _unit_table(dist, resolution)
+    units = _unit_table(dist, _check_resolution(resolution))
     assignments = itertools.product(range(s), repeat=m)
     hits = Counter()  # sorted atom indices of a hit assignment -> count
     while block := list(itertools.islice(assignments, _block_rows(m))):

@@ -32,7 +32,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .capacity import CapacityField, CapacityOverflowError, int64_copy
+from .capacity import CapacityField, CapacityOverflowError, _check_resolution, _level_step, int64_copy
 from .lattice import BoxSpec, Point, edge_ends, edges_in_box, vertex_points, vertical_edges
 
 MAX_TOTAL_UNITS = 2**63 - 1
@@ -57,6 +57,7 @@ class Stream:
     flow: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_resolution(self.resolution)
         flow = int64_copy(self.flow, "flows")
         if flow.shape != (self.box.edge_count,):
             raise ValueError("the flow array must have one entry per box edge")
@@ -525,9 +526,7 @@ def decompose_paths(box: BoxSpec, stream: Stream, k: int) -> list[tuple[Point, .
     """
     if stream.box != box:
         raise ValueError("stream does not cover this box")
-    if k < 1 or stream.resolution % k:
-        raise ValueError("k must divide the stream resolution")
-    step = stream.resolution // k
+    step = _level_step(k, stream.resolution)  # k divides R exactly when it passes
     flow = stream.flow.tolist()
     if any(x % step for x in flow):
         raise ValueError(f"stream is not discrete at level {k}")

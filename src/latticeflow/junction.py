@@ -134,17 +134,18 @@ def flip_vertical(ds: DiscreteStream) -> DiscreteStream:
 
 def merge_stacked_fields(bottom: CapacityField, top: CapacityField) -> CapacityField:
     """One field on the union of a box and the box stacked directly above it."""
-    union = _check_stacked(bottom.box, top.box)
-    if bottom.resolution != top.resolution:
-        raise ValueError("resolutions differ")
+    union = _check_stacked(bottom, top)
     caps = np.zeros(union.edge_count, dtype=np.int64)
     for part in (bottom, top):
         caps[edge_map(part.box, union)] = part.caps
     return CapacityField(union, bottom.resolution, caps)
 
 
-def _check_stacked(b: BoxSpec, t: BoxSpec) -> BoxSpec:
-    """The union of a box and the box stacked directly above it."""
+def _check_stacked(lower: CapacityField | Stream, upper: CapacityField | Stream) -> BoxSpec:
+    """The union box of two fields or streams at one resolution, the upper stacked on the lower."""
+    b, t = lower.box, upper.box
+    if lower.resolution != upper.resolution:
+        raise ValueError("resolutions differ")
     if b.dims != t.dims or b.offset[:-1] != t.offset[:-1]:
         raise ValueError("boxes must share the same base")
     if t.z_lo != b.z_hi:
@@ -166,10 +167,8 @@ def join_streams(s1: DiscreteStream, s2: DiscreteStream, lam, n: int, level: int
     lamf = read_lam(lam)
     if s1.level != level or s2.level != level:
         raise ValueError("streams must be discrete at the requested level")
-    if s1.resolution != s2.resolution:
-        raise ValueError("resolutions differ")
+    union = _check_stacked(s1, s2)
     b1, b2 = s1.box, s2.box
-    union = _check_stacked(b1, b2)
     r = s1.resolution
     d = b1.d
     need_units = lamf * n ** (d - 1) * r  # exact threshold in units

@@ -8,6 +8,7 @@ sealed: a vertical edge may span any unit interval within [z_lo, z_hi],
 including the one entering from the bottom face, while a horizontal edge
 needs both endpoints strictly inside the base and a height in ]z_lo, z_hi].
 Fluid can therefore enter or leave a box only through its bottom and top.
+Every size and count is read by ``_count``: an integer >= 1, not a boolean.
 
 All objects here are immutable after construction and safe to share across
 worker processes. Edge ids are dense integers given by the lexicographic
@@ -56,6 +57,13 @@ def _integer(x) -> int:
     return operator.index(x)
 
 
+def _count(x, what: str) -> int:
+    """``_integer(x)``, refusing a value below 1: the rule for every size and count."""
+    if (n := _integer(x)) < 1:
+        raise ValueError(f"{what} must be >= 1")
+    return n
+
+
 @dataclass(frozen=True)
 class Edge:
     """Unordered nearest-neighbour edge, endpoints kept in lexicographic order."""
@@ -91,14 +99,9 @@ class BoxSpec:
     offset: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        dims = tuple(map(_integer, self.dims))
-        if len(dims) < 1:
-            raise ValueError("need at least one base dimension (d >= 2)")
-        if any(k < 1 for k in dims):
-            raise ValueError("all base side lengths must be >= 1")
-        height = _integer(self.height)
-        if height < 1:
-            raise ValueError("height must be >= 1")
+        dims = tuple(_count(k, "base side length") for k in self.dims)
+        _count(len(dims), "the number of base axes, d - 1,")
+        height = _count(self.height, "height")
         offset = tuple(map(_integer, self.offset)) if self.offset else (0,) * (len(dims) + 1)
         if len(offset) != len(dims) + 1:
             raise ValueError("offset must have one entry per coordinate")
@@ -258,8 +261,6 @@ class RectSpec:
 
     def slab_box(self, half_height: int) -> BoxSpec:
         """The slab rect x ]-k, k] as a box, reusing the box edge conventions."""
-        half_height = _integer(half_height)
-        if half_height < 1:
-            raise ValueError("half_height must be >= 1")
+        half_height = _count(half_height, "half_height")
         return BoxSpec(self.sides, 2 * half_height, self.lo + (-half_height,))
 

@@ -23,7 +23,9 @@ from latticeflow.capacity import (
     sample_field,
     unit_count,
 )
-from latticeflow.estimators import estimate_psi
+from latticeflow.estimators import estimate_psi, exact_tail_probability
+from latticeflow.flow import Stream
+from latticeflow.junction import DiscreteStream
 from reference_capacity import edge_uniforms
 from reference_lattice import edge_ids
 
@@ -181,6 +183,44 @@ def test_derive_seeds_match_numpy_seed_sequence(master):
     assert [derive_seed(master, i) for i in indices] == expected
     with pytest.raises(ValueError):
         derive_seed(master, -1)
+
+
+@pytest.mark.parametrize("indices", [
+    -1, 2**64, 2**64 + 5, True, np.True_, [True], [0, True], [3, -1], [2**64 + 5], [1.0],
+    np.array([-1]), np.array([True]), range(-1, 3), range(2**64 - 1, 2**64 + 1),
+], ids=lambda v: repr(v).replace(" ", ""))
+def test_replica_index_outside_64_bits_or_boolean_is_refused(indices):
+    """-1 used to wrap onto index 2**32 - 1, 2**64 + 5 and the array -1 each
+    gave a seed, and True read as index 1."""
+    with pytest.raises(ValueError, match="^replica index must be a 64-bit unsigned integer$"):
+        derive_seeds(1, indices)
+
+
+def test_replica_range_equals_its_list():
+    """A range is checked at its two ends only; its seeds are those of its entries."""
+    for block in (range(0), range(5), range(2**32 - 2, 2**32 + 2), range(2**64 - 3, 2**64), range(9, 1, -3)):
+        assert derive_seeds(4, block).tolist() == derive_seeds(4, list(block)).tolist()
+        assert derive_seeds(4, block).tolist() == [derive_seed(4, i) for i in block]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: Stream(BoxSpec((1,), 1), 3, np.array([1])), id="stream"),
+    pytest.param(lambda: DiscreteStream(BoxSpec((1,), 1), 3, np.array([1]), 2), id="discrete-stream"),
+    pytest.param(lambda: CapacityField(BoxSpec((1,), 1), 3, [1]), id="field"),
+    pytest.param(lambda: sample_block(BoxSpec((2,), 2), DistributionSpec.bernoulli("0.5"), 3, [1]),
+                 id="sample-finite-law"),
+    pytest.param(lambda: sample_block(BoxSpec((2,), 2), DistributionSpec.uniform(0, 1), 3, [1]),
+                 id="sample-continuous-law"),
+    pytest.param(lambda: sample_field(BoxSpec((2,), 2), DistributionSpec.exponential(1.0), 3, 1),
+                 id="sample-field"),
+    pytest.param(lambda: exact_tail_probability(DistributionSpec.bernoulli("0.5"), BoxSpec((2,), 2), 1,
+                                                resolution=3), id="oracle"),
+])
+def test_resolution_three_is_refused_with_the_one_message(call):
+    """Stream and DiscreteStream took any resolution: at R = 3 the level-2
+    step is 1, so every amount passed as a multiple of 1/2."""
+    with pytest.raises(ValueError, match="^resolution must be a power of two$"):
+        call()
 
 
 LAWS = (

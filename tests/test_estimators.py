@@ -30,6 +30,7 @@ from latticeflow.estimators import (
     exact_tail_probability,
     psi_curve_diagnostics,
     wilson_interval,
+    worker_processes,
 )
 from latticeflow.flow import max_flow
 from latticeflow.lattice import BoxSpec, RectSpec, edges_in_box
@@ -208,7 +209,8 @@ def test_psi_rejects_bad_discretisation_level(k_disc):
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: estimators.estimate_nu_sweep(BERN09, [(2, 1)], 0, 1), "replications must be",
                  id="nu-no-replications"),
-    pytest.param(lambda: estimate_psi_sweep(BERN09, [0.5], 2, 2, R, 0, 1), "samples and h", id="psi-no-samples"),
+    pytest.param(lambda: estimate_psi_sweep(BERN09, [0.5], 2, 2, R, 0, 1), "samples must be >= 1",
+                 id="psi-no-samples"),
     pytest.param(lambda: estimate_psi_sweep(BERN09, [-0.5], 2, 2, R, 5, 1), "lam must be non-negative",
                  id="psi-negative-lam"),
     pytest.param(lambda: psi_curve_diagnostics([], 0), "empty estimate list", id="diagnostics-empty"),
@@ -217,6 +219,32 @@ def test_psi_rejects_bad_discretisation_level(k_disc):
 ])
 def test_refusals(call, fragment):
     with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: estimate_psi_sweep(BERN09, [0.5], 2, 2, R, True, 1), TypeError, "boolean",
+                 id="psi-samples-true"),
+    pytest.param(lambda: estimators.estimate_nu_sweep(BERN09, [(2, 1)], True, 1), TypeError, "boolean",
+                 id="nu-replications-true"),
+    pytest.param(lambda: worker_processes(True), TypeError, "boolean", id="workers-true"),
+    pytest.param(lambda: worker_processes(0), ValueError, "workers must be >= 1", id="workers-0"),
+    pytest.param(lambda: worker_processes(-1), ValueError, "workers must be >= 1", id="workers-negative"),
+    pytest.param(lambda: estimate_psi_sweep(BERN09, [0.5], 2, 2, R, 5, 1, workers=0), ValueError,
+                 "workers must be >= 1", id="psi-workers-0"),
+    pytest.param(lambda: estimate_psi_sweep(BERN09, [0.5], 2, 2, R, 5, 1, workers=-1), ValueError,
+                 "workers must be >= 1", id="psi-workers-negative"),
+    pytest.param(lambda: estimate_psi_sweep(BERN09, [0.5], 2, 0, R, 5, 1), ValueError, "height must be >= 1",
+                 id="psi-height-0"),
+    pytest.param(lambda: exact_tail_probability(BERN09, BoxSpec((2,), 2), 1, budget=0), ValueError,
+                 "budget must be >= 1", id="oracle-budget-0"),
+    pytest.param(lambda: exact_tail_probability(BERN09, BoxSpec((2,), 2), 1, budget=True), TypeError,
+                 "boolean", id="oracle-budget-true"),
+])
+def test_counts_must_be_integers_of_at_least_one(call, error, fragment):
+    """True ran one replica and was stored as the count, 0 workers died in
+    the block map with a ZeroDivisionError and -1 in range()."""
+    with pytest.raises(error, match=fragment):
         call()
 
 

@@ -381,7 +381,7 @@ COLUMN = BoxSpec((1,), 1)  # one vertical edge
                  "does not cover this box", id="cut-other-box"),
     pytest.param(lambda: max_flow(BOX2, CapacityField.constant(BOX2.translate((1, 0)), R)),
                  "does not cover this box", id="flow-other-box"),
-    pytest.param(lambda: decompose_paths(COLUMN, Stream(COLUMN, R, np.array([R])), 3), "must divide",
+    pytest.param(lambda: decompose_paths(COLUMN, Stream(COLUMN, R, np.array([R])), 3), "level must be",
                  id="decompose-k-not-dividing"),
     pytest.param(lambda: decompose_paths(COLUMN, Stream(COLUMN, R, np.array([-R])), 1), "negative flow",
                  id="decompose-negative-flow"),
